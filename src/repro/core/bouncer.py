@@ -39,10 +39,10 @@ from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 from ..exceptions import ConfigurationError
 from .context import HostContext
 from .dual_buffer import DualBufferHistogram, SlidingWindowHistogram
-from .histogram import BucketLayout, HistogramSnapshot
+from .histogram import DEFAULT_LAYOUT, BucketLayout, HistogramSnapshot
 from .policy import AdmissionPolicy, DecisionCallback
 from .slo import LatencySLO, SLORegistry
-from .types import AdmissionResult, Query, RejectReason
+from .types import AdmissionResult, Decision, Query, RejectReason
 
 #: Either histogram backend satisfies the same record/estimate surface.
 HistogramBackend = Union[DualBufferHistogram, SlidingWindowHistogram]
@@ -216,13 +216,14 @@ class _BatchEntry:
     after the first query of a type touches the snapshots (triggering any
     due lazy publish — the same instant the scalar loop would), every later
     query of that type sees identical inputs.  ``proto_*`` memoizes the
-    finished decision against the wait estimate it was computed from;
-    queue mutations between queries (host callbacks enqueueing accepts)
-    change the wait, which invalidates the memo by value.
+    verdict against the wait estimate it was computed from; queue
+    mutations between queries (host callbacks enqueueing accepts) change
+    the wait, which invalidates the memo by value.  The estimates are not
+    memoized: every result owns a dict, and building one costs what
+    copying one would.
     """
 
-    __slots__ = ("slo", "cold", "values", "proto_wait", "proto_accept",
-                 "proto_response")
+    __slots__ = ("slo", "cold", "values", "proto_wait", "proto_accept")
 
     def __init__(self, slo: LatencySLO, cold: bool,
                  values: Optional[List[float]]) -> None:
@@ -231,7 +232,6 @@ class _BatchEntry:
         self.values = values
         self.proto_wait: Optional[float] = None
         self.proto_accept = False
-        self.proto_response: Dict[float, float] = {}
 
 
 class FastPathStats:
@@ -265,6 +265,7 @@ class BouncerPolicy(AdmissionPolicy):
         self._slos = config.slos
         self._hists: Dict[str, HistogramBackend] = {}
         self._general = self._new_histogram()
+        self._index_for = (config.layout or DEFAULT_LAYOUT).index_for
         self._mode_any = config.decision_mode == DECISION_ANY
         # Unified cold-start threshold: a snapshot is trusted only with at
         # least max(min_samples, 1) observations, so an empty snapshot is
@@ -563,7 +564,7 @@ class BouncerPolicy(AdmissionPolicy):
             if delta > 0:
                 if term is not None:
                     term.count += 1
-                elif self._sum_dirty:
+                elif self._sum_dirty or self._touch_sets_phase(qtype):
                     # A pending refresh recomputes every term anyway.
                     self._terms[qtype] = _Eq2Term(1)
                     self._pending_terms += 1
@@ -589,6 +590,22 @@ class BouncerPolicy(AdmissionPolicy):
                         self._general_deps -= 1
                         if self._general_deps == 0:
                             self._general_epoch_used = -1
+
+    def _touch_sets_phase(self, qtype: str) -> bool:
+        """Would computing ``qtype``'s term now move a publisher's phase?
+
+        Creating a histogram fixes its slice starts and swap boundaries,
+        and a bootstrap publish restarts the interval at the instant of
+        the touch.  The naive walk does both at the next record or
+        decision, never at an enqueue, so here they must wait for it: the
+        caller leaves a pending term, and the refresh that forces touches
+        the publishers at the next decision.  Hosts decide before they
+        enqueue, so for them the histogram exists and its bootstrap, if
+        one was due, has just fired.
+        """
+        hist = self._hists.get(qtype)
+        return (hist is None or hist.bootstrap_pending
+                or self._general.bootstrap_pending)
 
     def _stat_entry_locked(self, key: str,
                            snap: HistogramSnapshot) -> _SnapshotStats:
@@ -844,8 +861,8 @@ class BouncerPolicy(AdmissionPolicy):
           fallback, and SLO percentile values once per batch
           (:class:`_BatchEntry`), valid because the clock is frozen and no
           completions are recorded between decisions of one batch;
-        * repeated types against an unchanged wait reuse the finished
-          decision, paying only a dict copy and a result allocation.
+        * repeated types against an unchanged wait reuse the verdict,
+          paying only for their own estimates dict and result.
 
         An empty batch returns immediately without touching any snapshot
         or memo.  The per-query tallies land in :attr:`stats` exactly as
@@ -904,19 +921,12 @@ class BouncerPolicy(AdmissionPolicy):
         The response estimate is ``wait + pt_p`` per constrained
         percentile, in exactly the scalar arithmetic (no slack
         transformation — ``wait > target - pt_p`` is not float-equivalent).
-        A memoized decision is reused only when the wait estimate is
-        bit-equal to the one it was computed from; every result carries a
-        freshly copied estimates dict, as the scalar path allocates one
-        per decision.
+        The estimates dict is built once and handed to the result, which
+        owns it; a memoized verdict is reused only when the wait estimate
+        is bit-equal to the one it was computed from.
         """
-        if entry.proto_wait == wait_mean:
-            response = dict(entry.proto_response)
-            if entry.proto_accept:
-                return AdmissionResult.accept(estimates=response)
-            return AdmissionResult.reject(RejectReason.SLO_ESTIMATE,
-                                          estimates=response)
         slo = entry.slo
-        response = {}
+        response: Dict[float, float] = {}
         if entry.values is None:
             for p in slo.percentiles:
                 response[p] = wait_mean
@@ -924,23 +934,25 @@ class BouncerPolicy(AdmissionPolicy):
             # ``slo.percentiles`` is ascending, matching ``values``.
             for p, value in zip(slo.percentiles, entry.values):
                 response[p] = wait_mean + value
-        exceeded = 0
-        constrained = 0
-        for percentile, target in slo.items():
-            constrained += 1
-            if response.get(percentile, 0.0) > target:
-                exceeded += 1
-        if self._mode_any:
-            reject = exceeded > 0
+        if entry.proto_wait == wait_mean:
+            accept = entry.proto_accept
         else:
-            reject = constrained > 0 and exceeded == constrained
-        entry.proto_wait = wait_mean
-        entry.proto_accept = not reject
-        entry.proto_response = response
-        if reject:
-            return AdmissionResult.reject(RejectReason.SLO_ESTIMATE,
-                                          estimates=dict(response))
-        return AdmissionResult.accept(estimates=dict(response))
+            exceeded = 0
+            constrained = 0
+            for percentile, target in slo.items():
+                constrained += 1
+                if response.get(percentile, 0.0) > target:
+                    exceeded += 1
+            if self._mode_any:
+                accept = exceeded == 0
+            else:
+                accept = constrained == 0 or exceeded != constrained
+            entry.proto_wait = wait_mean
+            entry.proto_accept = accept
+        if accept:
+            return AdmissionResult(Decision.ACCEPT, None, response)
+        return AdmissionResult(Decision.REJECT, RejectReason.SLO_ESTIMATE,
+                               response)
 
     # -- framework hooks ----------------------------------------------------
     def on_completed(self, query: Query, wait_time: float,
@@ -956,8 +968,10 @@ class BouncerPolicy(AdmissionPolicy):
         the bootstrap watch.
         """
         hist = self._histogram_for(query.qtype)
-        hist.record(processing_time)
-        self._general.record(processing_time)
+        # Both histograms share one layout: one bucket search serves both.
+        index = self._index_for(processing_time)
+        hist.record_at(index, processing_time)
+        self._general.record_at(index, processing_time)
         if not self._fast:
             return
         if hist.records_visible_immediately:

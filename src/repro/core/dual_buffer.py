@@ -43,7 +43,11 @@ class DualBufferHistogram:
     call and performs any due swap first.  In the discrete-event simulator
     this makes swaps happen at exact simulated instants; in the threaded
     runtime it bounds staleness by the inter-arrival gap, which under the
-    loads where admission control matters is microseconds.
+    loads where admission control matters is microseconds.  The check is
+    inline in :meth:`record_at` and :meth:`snapshot`: strictly inside an
+    interval with a view published -- nearly every call -- there is
+    nothing to swap and no bootstrap to fire (that needs an empty read
+    side), so ``_maybe_swap_locked`` is not entered.
 
     Thread safety: a single lock guards the swap and the write histogram.
     Reads of the published snapshot are safe without the lock because
@@ -130,14 +134,27 @@ class DualBufferHistogram:
 
     def record(self, value: float) -> None:
         """Record a latency into the write buffer (swapping first if due)."""
+        self.record_at(self._active.layout.index_for(value), value)
+
+    def record_at(self, index: int, value: float) -> None:
+        """:meth:`record` with the bucket index already computed.
+
+        See :meth:`LatencyHistogram.record_at`: Bouncer feeds every
+        completion to a type histogram and the general one, which share a
+        layout, and computes the index once for both.
+        """
         with self._lock:
-            self._maybe_swap_locked()
-            self._active.record(value)
+            now = self._clock.now()
+            if now >= self._next_swap or not self._published.count:
+                self._maybe_swap_locked(now)
+            self._active.record_at(index, value)
 
     def snapshot(self) -> HistogramSnapshot:
         """Return the currently published (read-side) snapshot."""
         with self._lock:
-            self._maybe_swap_locked()
+            now = self._clock.now()
+            if now >= self._next_swap or not self._published.count:
+                self._maybe_swap_locked(now)
             return self._published
 
     def preload(self, snapshot: HistogramSnapshot,
@@ -176,8 +193,7 @@ class DualBufferHistogram:
             self._next_swap = self._clock.now() + self._interval
             return self._published
 
-    def _maybe_swap_locked(self) -> None:
-        now = self._clock.now()
+    def _maybe_swap_locked(self, now: float) -> None:
         if now < self._next_swap:
             # Cold-start bootstrap: publish the very first snapshot as soon
             # as enough samples exist, rather than blindly admitting (or
@@ -268,9 +284,13 @@ class SlidingWindowHistogram:
             return self._slice_starts[self._current] + self._step
 
     def record(self, value: float) -> None:
+        self.record_at(self._slices[0].layout.index_for(value), value)
+
+    def record_at(self, index: int, value: float) -> None:
+        """:meth:`record` with the bucket index already computed."""
         with self._lock:
             self._advance_locked()
-            self._slices[self._current].record(value)
+            self._slices[self._current].record_at(index, value)
             self._cached = None
 
     def snapshot(self) -> HistogramSnapshot:

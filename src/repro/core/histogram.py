@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -55,12 +55,16 @@ class BucketLayout:
 
     Buckets are ``[min_value * growth**i, min_value * growth**(i+1))``.
     Values below ``min_value`` land in bucket 0; values at or above
-    ``max_value`` land in the last bucket.  Layouts are immutable and two
+    ``max_value`` land in the last bucket.  ``max_value`` is a clamp, not
+    a bucket edge: the last bucket's lower edge is the first
+    ``min_value * growth**i`` at or past it (about 101.3 for the default
+    100.0), and values in between are clamped up into the last bucket
+    rather than left in the one before.  Layouts are immutable and two
     histograms can be merged only if they share a layout.
     """
 
     __slots__ = ("min_value", "max_value", "growth", "num_buckets",
-                 "_log_min", "_log_growth", "_bounds")
+                 "_bounds")
 
     def __init__(self, min_value: float = DEFAULT_MIN_VALUE,
                  max_value: float = DEFAULT_MAX_VALUE,
@@ -75,28 +79,28 @@ class BucketLayout:
         self.min_value = float(min_value)
         self.max_value = float(max_value)
         self.growth = float(growth)
-        self._log_min = math.log(min_value)
-        self._log_growth = math.log(growth)
         self.num_buckets = int(
-            math.ceil((math.log(max_value) - self._log_min)
-                      / self._log_growth)) + 1
+            math.ceil((math.log(max_value) - math.log(min_value))
+                      / math.log(growth))) + 1
         # Precomputed lower bounds; bucket i spans [_bounds[i], _bounds[i+1]).
         self._bounds = [min_value * growth ** i
                         for i in range(self.num_buckets + 1)]
 
     def index_for(self, value: float) -> int:
-        """Return the bucket index a value falls in (clamped to the range)."""
-        if value < self.min_value:
-            return 0
-        if value >= self.max_value:
+        """Return the bucket index a value falls in (clamped to the range).
+
+        One binary search over the precomputed edges.  The ``max_value``
+        test comes first because ``max_value`` is a clamp, not an edge: it
+        lies below the last bucket's lower edge, where the search alone
+        would answer one bucket too low.  Written as ``not <`` it also
+        catches NaN, which no bucket holds.
+        """
+        if not value < self.max_value:
+            if value != value:
+                raise ValueError("cannot bucket NaN")
             return self.num_buckets - 1
-        idx = int((math.log(value) - self._log_min) / self._log_growth)
-        # Guard against floating point landing on a boundary's wrong side.
-        if idx + 1 < len(self._bounds) and value >= self._bounds[idx + 1]:
-            idx += 1
-        elif value < self._bounds[idx]:
-            idx -= 1
-        return min(max(idx, 0), self.num_buckets - 1)
+        idx = bisect_right(self._bounds, value) - 1
+        return idx if idx > 0 else 0
 
     def lower_bound(self, index: int) -> float:
         """Inclusive lower edge of bucket ``index``."""
@@ -423,6 +427,18 @@ class LatencyHistogram:
         if value < 0:
             raise ValueError(f"latency cannot be negative: {value}")
         self._counts[self._layout.index_for(value)] += 1
+        self._count += 1
+        self._sum += value
+
+    def record_at(self, index: int, value: float) -> None:
+        """:meth:`record` for a caller that already holds the bucket index.
+
+        ``index`` must be ``layout.index_for(value)``; a host feeding one
+        value to several histograms of one layout computes it once.
+        """
+        if value < 0:
+            raise ValueError(f"latency cannot be negative: {value}")
+        self._counts[index] += 1
         self._count += 1
         self._sum += value
 

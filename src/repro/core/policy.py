@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .types import AdmissionResult, Query, RejectReason
+from .types import AdmissionResult, Decision, Query, RejectReason
 
 #: Callback fired by :meth:`AdmissionPolicy.decide_many` after each decision,
 #: in arrival order, before the next query in the batch is decided.  Hosts
@@ -82,8 +82,10 @@ class PolicyStats:
                 self._record_locked(qtype, result)
 
     def _record_locked(self, qtype: str, result: AdmissionResult) -> None:
-        counters = self._per_type.setdefault(qtype, TypeCounters())
-        if result.accepted:
+        counters = self._per_type.get(qtype)
+        if counters is None:
+            counters = self._per_type[qtype] = TypeCounters()
+        if result.decision is Decision.ACCEPT:
             counters.accepted += 1
         else:
             counters.rejected += 1

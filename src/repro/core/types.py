@@ -57,7 +57,7 @@ class Query:
 
     __slots__ = ("qtype", "arrival_time", "deadline", "payload", "query_id",
                  "enqueued_at", "dequeued_at", "completed_at",
-                 "service_time", "span_ctx")
+                 "service_time", "span_ctx", "window")
 
     def __init__(self, qtype: str, arrival_time: float = 0.0,
                  deadline: Optional[float] = None, payload: Any = None,
@@ -79,6 +79,10 @@ class Query:
         # (a repro.telemetry.spans.SpanContext); None when tracing is off
         # or the query is unsampled.  Observational only.
         self.span_ctx: Optional[Any] = None
+        # Measurement window the host was in when the query arrived; a
+        # host with a warm-up phase stamps it to tell warm-up strays from
+        # measured queries (see repro.sim.report.ServerMetrics).
+        self.window = 0
 
     def __repr__(self) -> str:
         return (f"Query(qtype={self.qtype!r}, "
@@ -167,6 +171,7 @@ class QueryPool:
             query.completed_at = None
             query.service_time = None
             query.span_ctx = None
+            query.window = 0
             return query
         self.allocated += 1
         return Query(qtype, arrival_time, deadline, payload)

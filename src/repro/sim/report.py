@@ -38,10 +38,18 @@ class _TypeSamples:
 
 
 class ServerMetrics:
-    """Accumulates completions and rejections for one host."""
+    """Accumulates completions and rejections for one host.
+
+    Every :meth:`reset` opens a new measurement window.  Arrivals are
+    stamped with the window they arrived in (:meth:`note_arrival`), and a
+    terminal outcome counts only if its query carries the current stamp.
+    Arrival time cannot tell: the warm-up part of a burst that straddles
+    the boundary arrives at the very instant the window opens.
+    """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._per_type: Dict[str, _TypeSamples] = {}
+        self.window = 0
         self.start_time = start_time
         self.last_arrival = start_time
         self.busy_time = 0.0
@@ -60,7 +68,7 @@ class ServerMetrics:
         ever lost from the accounting."""
         self.busy_time += query.processing_time or 0.0
         self.wasted_work += query.processing_time or 0.0
-        if query.arrival_time < self.start_time:
+        if query.window != self.window:
             return
         self._samples(query.qtype).errors += 1
         self.errors += 1
@@ -71,7 +79,7 @@ class ServerMetrics:
         spent producing a response nobody will read — the useless work the
         paper's early rejections exist to avoid (§2)."""
         self.wasted_work += wasted_work
-        if query.arrival_time < self.start_time:
+        if query.window != self.window:
             return
         self._samples(query.qtype).expired += 1
         self.expired += 1
@@ -87,9 +95,11 @@ class ServerMetrics:
         self.admitted_work += service_time
         self.admitted += 1
 
-    def note_arrival(self, now: float) -> None:
-        """Track the newest arrival; utilization is measured up to it,
-        excluding the post-run drain that would otherwise dilute it."""
+    def note_arrival(self, query: Query, now: float) -> None:
+        """Stamp ``query`` with the open window and track the newest
+        arrival; utilization is measured up to it, excluding the post-run
+        drain that would otherwise dilute it."""
+        query.window = self.window
         self.last_arrival = now
 
     def _samples(self, qtype: str) -> _TypeSamples:
@@ -104,7 +114,7 @@ class ServerMetrics:
         # All processing done inside the window counts toward utilization,
         # including warm-up strays finishing after the window opened.
         self.busy_time += query.processing_time or 0.0
-        if query.arrival_time < self.start_time:
+        if query.window != self.window:
             # A warm-up stray: it arrived before the measurement window
             # opened and only completed after; its outcome is not measured.
             return
@@ -122,6 +132,7 @@ class ServerMetrics:
     def reset(self, now: float) -> None:
         """Restart the measurement window at ``now`` (end of warm-up)."""
         self._per_type.clear()
+        self.window += 1
         self.start_time = now
         self.last_arrival = now
         self.busy_time = 0.0

@@ -169,7 +169,7 @@ class SimulatedServer:
         """
         now = self._sim.now
         query.arrival_time = now
-        self.metrics.note_arrival(now)
+        self.metrics.note_arrival(query, now)
         if self._faults is not None:
             # A blacked-out or lossy host refuses before the policy runs —
             # the fault sits in front of admission, like a dead NIC would.
@@ -207,7 +207,7 @@ class SimulatedServer:
         note_arrival = self.metrics.note_arrival
         for query in queries:
             query.arrival_time = now
-            note_arrival(now)
+            note_arrival(query, now)
         self._batch_now = now
         return self.policy.decide_many(queries,
                                        on_decision=self._apply_batched)

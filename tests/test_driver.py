@@ -32,6 +32,20 @@ class TestRunSimulation:
         assert report.overall.completed == 2000  # accept-all, no rejections
         assert report.overall.rejected == 0
 
+    @pytest.mark.parametrize("warmup", [504, 503])
+    def test_burst_straddling_the_warmup_boundary(self, warmup):
+        # 503 % 8 != 0: the boundary burst's warm-up part arrives at the
+        # instant the window opens and must still not be measured.
+        mix = small_mix()
+        report = run_simulation(mix, accept_all, rate_qps=500.0,
+                                num_queries=2000, warmup_queries=warmup,
+                                parallelism=8, seed=1, burst=8)
+        overall = report.overall
+        assert (overall.completed + overall.expired + overall.errors
+                + overall.rejected) == 2000
+        assert sum(stats.completed for stats in report.per_type.values()
+                   ) == overall.completed
+
     def test_underload_means_no_queueing(self):
         mix = small_mix()
         # Offered load ~ 0.4 of capacity: responses ~ service times.

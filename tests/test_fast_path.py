@@ -12,7 +12,7 @@ making the fast policy self-verify Eq. 2 on every decision.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
@@ -199,9 +199,35 @@ def op_strategy():
         min_size=1, max_size=60)
 
 
+#: Found by hypothesis.  The fast path's queue subscription used to create
+#: a never-decided type's histogram at enqueue time, the naive walk at the
+#: next record or decision; the creation instant sets the sliding window's
+#: slice phase (and the dual buffer's swap phase), so the two modes
+#: published different windows: ACCEPT with {50: 0.0, 90: 0.0} against
+#: REJECT with {50: 0.1576, 90: 0.1596}.
+ENQUEUE_BEFORE_FIRST_DECISION = [
+    ("enqueue", "fast"), ("advance", 2.5),
+    ("record", ("fast", 0.125)), ("record", ("fast", 0.125)),
+    ("advance", 2.5), ("decide", "fast")]
+
+#: Same cause, one step on: the histograms exist but their bootstrap
+#: publish is pending, and the enqueue-time touch fired it at 0.0 where
+#: the naive walk fires it at the decision at 0.4.  A bootstrap publish
+#: restarts the interval, so the swaps fell at 1.0 against 1.4 and the
+#: last decision (at 1.6) read different windows.
+ENQUEUE_WHILE_BOOTSTRAP_PENDING = (
+    [("record", ("fast", 0.1))] * 2
+    + [("enqueue", "fast"), ("advance", 0.4), ("decide", "fast"),
+       ("advance", 0.4), ("advance", 0.4)]
+    + [("record", ("fast", 0.01))] * 3
+    + [("advance", 0.4), ("decide", "fast")])
+
+
 class TestFastPathEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(ops=op_strategy())
+    @example(ops=ENQUEUE_BEFORE_FIRST_DECISION)
+    @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING)
     def test_dual_buffer_interleavings(self, ops):
         runner = ScriptRunner(min_samples=3, retain_min_samples=2,
                               bootstrap_samples=2)
@@ -209,6 +235,8 @@ class TestFastPathEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(ops=op_strategy())
+    @example(ops=ENQUEUE_BEFORE_FIRST_DECISION)
+    @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING)
     def test_sliding_window_interleavings(self, ops):
         runner = ScriptRunner(histogram_mode=HISTOGRAMS_SLIDING_WINDOW,
                               histogram_window=3.0, min_samples=2)

@@ -39,13 +39,31 @@ class TestServerMetrics:
 
     def test_warmup_stray_excluded_from_samples_not_busy(self):
         metrics = ServerMetrics(start_time=0.0)
-        metrics.reset(10.0)
         stray = completed_query(arrival=9.0)   # arrived pre-window
+        metrics.note_arrival(stray, 9.0)
+        metrics.reset(10.0)
         fresh = completed_query(arrival=11.0)
+        metrics.note_arrival(fresh, 11.0)
         metrics.record_completion(stray)
         metrics.record_completion(fresh)
         assert metrics.completed == 1
         assert metrics.busy_time == pytest.approx(0.04)  # both counted
+
+    def test_stray_arriving_at_the_reset_instant_is_still_a_stray(self):
+        # The warm-up part of a burst that straddles the boundary arrives
+        # at the instant the window opens; only the stamp tells it apart.
+        metrics = ServerMetrics(start_time=0.0)
+        stray = completed_query(arrival=10.0)
+        metrics.note_arrival(stray, 10.0)
+        metrics.reset(10.0)
+        fresh = completed_query(arrival=10.0)
+        metrics.note_arrival(fresh, 10.0)
+        metrics.record_completion(stray)
+        metrics.record_expiration(stray, wasted_work=0.0)
+        metrics.record_error(stray)
+        assert (metrics.completed, metrics.expired, metrics.errors) == (0, 0, 0)
+        metrics.record_completion(fresh)
+        assert metrics.completed == 1
 
     def test_utilization_is_admitted_work_over_capacity(self):
         metrics = ServerMetrics(start_time=0.0)
