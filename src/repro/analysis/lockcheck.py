@@ -1,9 +1,9 @@
 """Dynamic lock-order checking: instrumented locks + a global lock graph.
 
 Static analysis can prove a lock is *held correctly* (see the
-``lock-discipline`` rule) but not that the ~10 ``threading.Lock`` instances
-across ``core``, ``telemetry``, ``runtime`` and ``faults`` are acquired in
-a consistent global order.  This module checks that at runtime:
+``lock-discipline`` rule) but not that the ten ``threading`` locks across
+``telemetry``, ``runtime``, ``gateway`` and ``faults`` (``core`` has none:
+its host serializes) are acquired in a consistent global order.  This module checks that at runtime:
 
 * :class:`CheckedLock` / :class:`CheckedRLock` wrap the real primitives and
   report every acquisition to a :class:`LockCheckRegistry`;

@@ -31,7 +31,6 @@ are retained rather than replaced by empty ones.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
@@ -275,10 +274,6 @@ class BouncerPolicy(AdmissionPolicy):
         self._fast = config.fast_path
         self._debug = config.debug_check
         self.fast_path_stats = FastPathStats()
-        # Fast-path state, guarded by _fast_lock (always acquired before any
-        # histogram-backend lock, never while holding the queue-view lock —
-        # listeners fire after that lock is released).
-        self._fast_lock = threading.Lock()
         # Eq. 2 term table (array-of-structs: count + cached mean per
         # queued type).  Insertion order mirrors the queue view's counts
         # dict so the sum visits types in the same order as the naive
@@ -418,8 +413,7 @@ class BouncerPolicy(AdmissionPolicy):
         """
         if not self._fast:
             return self._estimate_wait_mean_naive()
-        with self._fast_lock:
-            wait = self._fast_wait_mean_locked()
+        wait = self._fast_wait_mean()
         if self._debug:
             naive = self._estimate_wait_mean_naive()
             if naive != wait:
@@ -446,18 +440,18 @@ class BouncerPolicy(AdmissionPolicy):
             total += count * mean
         return total / self._ctx.parallelism
 
-    def _fast_wait_mean_locked(self) -> float:
+    def _fast_wait_mean(self) -> float:
         """Eq. 2 from the incrementally maintained term table."""
         if not self._terms:
             return 0.0
         now = self._ctx.clock.now()
         if (self._sum_dirty or now >= self._next_due
                 or self._pending_terms):
-            self._refresh_terms_locked()
+            self._refresh_terms()
         if self._watch:
-            self._service_watch_locked()
+            self._service_watch()
             if self._sum_dirty:
-                self._refresh_terms_locked()
+                self._refresh_terms()
         if self._wait_cache is not None:
             # No term and no count has changed since the last computation
             # (every mutation path clears the memo): reuse it verbatim.
@@ -535,80 +529,88 @@ class BouncerPolicy(AdmissionPolicy):
         ``_next_due`` / the bootstrap watch, so this is a backstop for
         out-of-band mutation.)
         """
-        with self._fast_lock:
-            term = self._terms.get(qtype)
-            if term is not None and term.mean is not None:
-                if term.used_general:
-                    if own.count >= self._min_trusted:
-                        self._sum_dirty = True
-                elif term.epoch != own.epoch:
+        term = self._terms.get(qtype)
+        if term is not None and term.mean is not None:
+            if term.used_general:
+                if own.count >= self._min_trusted:
                     self._sum_dirty = True
-            if (cold and self._general_deps
-                    and snap.epoch != self._general_epoch_used):
+            elif term.epoch != own.epoch:
                 self._sum_dirty = True
-            entry = self._stat_entry_locked(
-                _GENERAL_KEY if cold else qtype, snap)
-            ptuple = tuple(percentiles)
-            values = entry.percentiles.get(ptuple)
-            if values is None:
-                values = snap.percentiles(percentiles)
-                entry.percentiles[ptuple] = values
-            return values
+        if (cold and self._general_deps
+                and snap.epoch != self._general_epoch_used):
+            self._sum_dirty = True
+        entry = self._stat_entry(_GENERAL_KEY if cold else qtype, snap)
+        ptuple = tuple(percentiles)
+        values = entry.percentiles.get(ptuple)
+        if values is None:
+            values = snap.percentiles(percentiles)
+            entry.percentiles[ptuple] = values
+        return values
 
     # -- fast-path maintenance -------------------------------------------
     def _on_queue_event(self, qtype: str, delta: int) -> None:
         """Queue-view subscription: mirror occupancy incrementally."""
-        with self._fast_lock:
-            self._wait_cache = None
-            term = self._terms.get(qtype)
-            if delta > 0:
-                if term is not None:
-                    term.count += 1
-                elif self._sum_dirty or self._touch_sets_phase(qtype):
-                    # A pending refresh recomputes every term anyway.
-                    self._terms[qtype] = _Eq2Term(1)
-                    self._pending_terms += 1
-                else:
-                    self._terms[qtype] = self._term_locked(qtype, 1)
+        self._wait_cache = None
+        term = self._terms.get(qtype)
+        if delta > 0:
+            if term is not None:
+                term.count += 1
+            elif self._sum_dirty or self._touch_sets_phase(qtype):
+                # A pending refresh recomputes every term anyway.
+                self._terms[qtype] = _Eq2Term(1)
+                self._pending_terms += 1
             else:
-                if term is None:
-                    # Deliveries raced past the count updates (threaded
-                    # runtime); resynchronize from the authoritative view.
-                    self._terms = {
-                        queued: _Eq2Term(count)
-                        for queued, count in
-                        self._ctx.queue.occupancy().items()}
-                    self._pending_terms = len(self._terms)
-                    self._sum_dirty = True
-                elif term.count > 1:
-                    term.count -= 1
-                else:
-                    del self._terms[qtype]
-                    if term.mean is None:
-                        self._pending_terms -= 1
-                    elif term.used_general:
-                        self._general_deps -= 1
-                        if self._general_deps == 0:
-                            self._general_epoch_used = -1
+                self._terms[qtype] = self._term(qtype, 1)
+        elif term is None:
+            # The view held entries before this policy subscribed to it
+            # (a policy built over a live queue): rebuild the table from
+            # the authoritative view.
+            self._terms = {
+                queued: _Eq2Term(count)
+                for queued, count in self._ctx.queue.occupancy().items()}
+            self._pending_terms = len(self._terms)
+            self._sum_dirty = True
+        elif term.count > 1:
+            term.count -= 1
+        else:
+            del self._terms[qtype]
+            if term.mean is None:
+                self._pending_terms -= 1
+            elif term.used_general:
+                self._general_deps -= 1
+                if self._general_deps == 0:
+                    self._general_epoch_used = -1
 
     def _touch_sets_phase(self, qtype: str) -> bool:
         """Would computing ``qtype``'s term now move a publisher's phase?
 
         Creating a histogram fixes its slice starts and swap boundaries,
-        and a bootstrap publish restarts the interval at the instant of
-        the touch.  The naive walk does both at the next record or
-        decision, never at an enqueue, so here they must wait for it: the
-        caller leaves a pending term, and the refresh that forces touches
-        the publishers at the next decision.  Hosts decide before they
-        enqueue, so for them the histogram exists and its bootstrap, if
-        one was due, has just fired.
+        a bootstrap publish restarts the interval at the instant of the
+        touch, and a time-driven publish that is due empties the write
+        buffer into a view -- one more view than the naive walk makes if
+        nothing else touches the publisher before the following boundary
+        (with ``retain_min_samples=0`` that extra view is an empty one).
+        The naive walk does all three at the next record or decision,
+        never at an enqueue, so here they must wait for it: the caller
+        leaves a pending term, and the refresh that forces touches the
+        publishers at the next decision.  Hosts decide before they
+        enqueue, so for them the histogram exists, its bootstrap, if one
+        was due, has just fired, and it has been read at this instant;
+        the general histogram is asked only when the term would read it.
         """
         hist = self._hists.get(qtype)
-        return (hist is None or hist.bootstrap_pending
-                or self._general.bootstrap_pending)
+        if (hist is None or hist.bootstrap_pending
+                or self._general.bootstrap_pending):
+            return True
+        now = self._ctx.clock.now()
+        if now >= hist.next_publish_due():
+            return True
+        # Nothing is due on ``hist``, so reading its view moves nothing.
+        return (hist.snapshot().count < self._min_trusted
+                and now >= self._general.next_publish_due())
 
-    def _stat_entry_locked(self, key: str,
-                           snap: HistogramSnapshot) -> _SnapshotStats:
+    def _stat_entry(self, key: str,
+                    snap: HistogramSnapshot) -> _SnapshotStats:
         """Per-backend memo of derived stats, keyed on the publish epoch."""
         stats = self.fast_path_stats
         entry = self._stat_cache.get(key)
@@ -620,16 +622,16 @@ class BouncerPolicy(AdmissionPolicy):
             stats.cache_hits += 1
         return entry
 
-    def _term_locked(self, qtype: str, count: int) -> _Eq2Term:
+    def _term(self, qtype: str, count: int) -> _Eq2Term:
         """Compute one type's Eq. 2 term and fold in its refresh triggers."""
         hist = self._histogram_for(qtype)
         snap = hist.snapshot()
         self._next_due = min(self._next_due, hist.next_publish_due())
         if snap.count >= self._min_trusted:
-            entry = self._stat_entry_locked(qtype, snap)
+            entry = self._stat_entry(qtype, snap)
             return _Eq2Term(count, entry.mean, False, snap.epoch)
         gsnap = self._general.snapshot()
-        gentry = self._stat_entry_locked(_GENERAL_KEY, gsnap)
+        gentry = self._stat_entry(_GENERAL_KEY, gsnap)
         if self._general_deps:
             if gsnap.epoch != self._general_epoch_used:
                 # Another term was computed against an older general view.
@@ -645,7 +647,7 @@ class BouncerPolicy(AdmissionPolicy):
             self._watch.add(_GENERAL_KEY)
         return _Eq2Term(count, gentry.mean, True, gsnap.epoch)
 
-    def _refresh_terms_locked(self) -> None:
+    def _refresh_terms(self) -> None:
         """Slow path: recompute every queued type's Eq. 2 term.
 
         Runs on publish boundaries, bootstrap publishes, sliding-window
@@ -672,13 +674,12 @@ class BouncerPolicy(AdmissionPolicy):
             self._next_due = min(self._next_due, hist.next_publish_due())
             if snap.count >= self._min_trusted:
                 terms[qtype] = _Eq2Term(
-                    old.count, self._stat_entry_locked(qtype, snap).mean,
+                    old.count, self._stat_entry(qtype, snap).mean,
                     False, snap.epoch)
             else:
                 if general_entry is None:
                     gsnap = self._general.snapshot()
-                    general_entry = self._stat_entry_locked(
-                        _GENERAL_KEY, gsnap)
+                    general_entry = self._stat_entry(_GENERAL_KEY, gsnap)
                     general_epoch = gsnap.epoch
                 terms[qtype] = _Eq2Term(old.count, general_entry.mean,
                                         True, general_epoch)
@@ -694,7 +695,7 @@ class BouncerPolicy(AdmissionPolicy):
         self._general_deps = general_deps
         self._general_epoch_used = general_epoch
 
-    def _service_watch_locked(self) -> None:
+    def _service_watch(self) -> None:
         """Poke watched backends so pending bootstrap publishes fire.
 
         Bootstrap publishes are sample-driven, not time-driven, so
@@ -708,7 +709,7 @@ class BouncerPolicy(AdmissionPolicy):
             if key == _GENERAL_KEY:
                 if not self._general_deps:
                     # No Eq. 2 term depends on the general view; if one
-                    # appears later, _term_locked re-adds the watch.
+                    # appears later, _term re-adds the watch.
                     self._watch.discard(key)
                     continue
                 backend: HistogramBackend = self._general
@@ -741,9 +742,7 @@ class BouncerPolicy(AdmissionPolicy):
         ``force_swap`` in a test, or :meth:`import_state`); the next
         decision recomputes from the live snapshots.
         """
-        if not self._fast:
-            return
-        with self._fast_lock:
+        if self._fast:
             self._stat_cache.clear()
             self._sum_dirty = True
             self._wait_cache = None
@@ -768,27 +767,24 @@ class BouncerPolicy(AdmissionPolicy):
             return self._entry_result(self._batch_entry(query.qtype),
                                       wait_mean)
         qtype = query.qtype
-        # --- estimate_wait_mean / _fast_wait_mean_locked, fused ---
-        with self._fast_lock:
-            terms = self._terms
-            if not terms:
-                wait_mean = 0.0
-            else:
-                if (self._sum_dirty or self._pending_terms
-                        or self._ctx.clock.now() >= self._next_due):
-                    self._refresh_terms_locked()
-                if self._watch:
-                    self._service_watch_locked()
-                    if self._sum_dirty:
-                        self._refresh_terms_locked()
-                cached_wait = self._wait_cache
-                if cached_wait is None:
-                    total = 0.0
-                    for term in self._terms.values():
-                        total += term.count * term.mean
-                    cached_wait = total / self._ctx.parallelism
-                    self._wait_cache = cached_wait
-                wait_mean = cached_wait
+        # --- estimate_wait_mean / _fast_wait_mean, fused ---
+        wait_mean = 0.0
+        if self._terms:
+            if (self._sum_dirty or self._pending_terms
+                    or self._ctx.clock.now() >= self._next_due):
+                self._refresh_terms()
+            if self._watch:
+                self._service_watch()
+                if self._sum_dirty:
+                    self._refresh_terms()
+            cached_wait = self._wait_cache
+            if cached_wait is None:
+                total = 0.0
+                for term in self._terms.values():
+                    total += term.count * term.mean
+                cached_wait = total / self._ctx.parallelism
+                self._wait_cache = cached_wait
+            wait_mean = cached_wait
         # --- _batch_entry, fused (same snapshot touch order: Eq. 2 walk
         # first, then the arriving type's histograms) ---
         hist = self._hists.get(qtype)
@@ -807,32 +803,31 @@ class BouncerPolicy(AdmissionPolicy):
         if snap.is_empty:
             values = None
         else:
-            # --- _fast_percentiles / _stat_entry_locked, fused ---
-            with self._fast_lock:
-                term = self._terms.get(qtype)
-                if term is not None and term.mean is not None:
-                    if term.used_general:
-                        if not cold:
-                            self._sum_dirty = True
-                    elif term.epoch != own.epoch:
+            # --- _fast_percentiles / _stat_entry, fused ---
+            term = self._terms.get(qtype)
+            if term is not None and term.mean is not None:
+                if term.used_general:
+                    if not cold:
                         self._sum_dirty = True
-                if (cold and self._general_deps
-                        and snap.epoch != self._general_epoch_used):
+                elif term.epoch != own.epoch:
                     self._sum_dirty = True
-                key = _GENERAL_KEY if cold else qtype
-                fstats = self.fast_path_stats
-                sentry = self._stat_cache.get(key)
-                if sentry is None or sentry.epoch != snap.epoch:
-                    sentry = _SnapshotStats(snap.epoch, snap.mean())
-                    self._stat_cache[key] = sentry
-                    fstats.cache_misses += 1
-                else:
-                    fstats.cache_hits += 1
-                ptuple = tuple(slo.percentiles)
-                values = sentry.percentiles.get(ptuple)
-                if values is None:
-                    values = snap.percentiles(slo.percentiles)
-                    sentry.percentiles[ptuple] = values
+            if (cold and self._general_deps
+                    and snap.epoch != self._general_epoch_used):
+                self._sum_dirty = True
+            key = _GENERAL_KEY if cold else qtype
+            fstats = self.fast_path_stats
+            sentry = self._stat_cache.get(key)
+            if sentry is None or sentry.epoch != snap.epoch:
+                sentry = _SnapshotStats(snap.epoch, snap.mean())
+                self._stat_cache[key] = sentry
+                fstats.cache_misses += 1
+            else:
+                fstats.cache_hits += 1
+            ptuple = tuple(slo.percentiles)
+            values = sentry.percentiles.get(ptuple)
+            if values is None:
+                values = snap.percentiles(slo.percentiles)
+                sentry.percentiles[ptuple] = values
         # --- _entry_result, through a per-type entry kept warm across
         # decisions (valid while its inputs are the very same objects) ---
         entry = self._scalar_entries.get(qtype)
@@ -975,15 +970,13 @@ class BouncerPolicy(AdmissionPolicy):
         if not self._fast:
             return
         if hist.records_visible_immediately:
-            with self._fast_lock:
-                if query.qtype in self._terms or self._general_deps:
-                    self._sum_dirty = True
-        elif hist.bootstrap_pending or self._general.bootstrap_pending:
+            if query.qtype in self._terms or self._general_deps:
+                self._sum_dirty = True
+        else:
             # Watch only backends a cached Eq. 2 term depends on; any other
             # backend gets a fresh snapshot (and a new watch, if still
-            # pending) from _term_locked when its type is enqueued.
-            with self._fast_lock:
-                if hist.bootstrap_pending and query.qtype in self._terms:
-                    self._watch.add(query.qtype)
-                if self._general.bootstrap_pending and self._general_deps:
-                    self._watch.add(_GENERAL_KEY)
+            # pending) from _term when its type is enqueued.
+            if hist.bootstrap_pending and query.qtype in self._terms:
+                self._watch.add(query.qtype)
+            if self._general.bootstrap_pending and self._general_deps:
+                self._watch.add(_GENERAL_KEY)

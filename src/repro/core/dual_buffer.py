@@ -20,7 +20,6 @@ compared (see ``benchmarks/bench_ablations.py``).
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from ..exceptions import ConfigurationError
@@ -47,11 +46,12 @@ class DualBufferHistogram:
     inline in :meth:`record_at` and :meth:`snapshot`: strictly inside an
     interval with a view published -- nearly every call -- there is
     nothing to swap and no bootstrap to fire (that needs an empty read
-    side), so ``_maybe_swap_locked`` is not entered.
+    side), so ``_maybe_swap`` is not entered.
 
-    Thread safety: a single lock guards the swap and the write histogram.
-    Reads of the published snapshot are safe without the lock because
-    snapshots are immutable; the lock is only taken to check for a due swap.
+    Not synchronized: the host that owns the policy serializes every call
+    (see :mod:`repro.core.policy`).  A published snapshot is immutable, so
+    whoever holds one -- a scrape, a snapshot board -- may read it for as
+    long as it likes while the write side moves on.
 
     Every *published* view (swap, bootstrap publish, preload — but not a
     retained stale snapshot, whose object is unchanged) increments a
@@ -86,7 +86,6 @@ class DualBufferHistogram:
         self._published: HistogramSnapshot = empty_snapshot(
             self._active.layout)
         self._next_swap = clock.now() + interval
-        self._lock = threading.Lock()
         self._swaps = 0
         self._retained = 0
         self._epoch = 0
@@ -104,10 +103,8 @@ class DualBufferHistogram:
     def bootstrap_pending(self) -> bool:
         """True when the next touch would trigger a bootstrap publish.
 
-        Advisory and read without the lock (each attribute read is atomic;
-        a stale answer only delays a cache refresh by one call) — the
-        Bouncer fast path polls this after recording completions to know it
-        must keep touching the buffer until the bootstrap fires.
+        The Bouncer fast path polls this after recording completions to
+        know it must keep touching the buffer until the bootstrap fires.
         """
         return bool(self._bootstrap_samples
                     and self._published.is_empty
@@ -119,8 +116,7 @@ class DualBufferHistogram:
         Bootstrap publishes are sample-driven, not time-driven; they are
         advertised via :attr:`bootstrap_pending` instead.
         """
-        with self._lock:
-            return self._next_swap
+        return self._next_swap
 
     @property
     def swap_count(self) -> int:
@@ -143,19 +139,17 @@ class DualBufferHistogram:
         completion to a type histogram and the general one, which share a
         layout, and computes the index once for both.
         """
-        with self._lock:
-            now = self._clock.now()
-            if now >= self._next_swap or not self._published.count:
-                self._maybe_swap_locked(now)
-            self._active.record_at(index, value)
+        now = self._clock.now()
+        if now >= self._next_swap or not self._published.count:
+            self._maybe_swap(now)
+        self._active.record_at(index, value)
 
     def snapshot(self) -> HistogramSnapshot:
         """Return the currently published (read-side) snapshot."""
-        with self._lock:
-            now = self._clock.now()
-            if now >= self._next_swap or not self._published.count:
-                self._maybe_swap_locked(now)
-            return self._published
+        now = self._clock.now()
+        if now >= self._next_swap or not self._published.count:
+            self._maybe_swap(now)
+        return self._published
 
     def preload(self, snapshot: HistogramSnapshot,
                 adopt_epoch: bool = False) -> None:
@@ -174,26 +168,24 @@ class DualBufferHistogram:
         The local counter still only moves forward (``max`` below), so a
         subsequent local publish cannot reuse a consumed epoch.
         """
-        with self._lock:
-            if not self._active.layout.compatible_with(snapshot._layout):
-                raise ConfigurationError(
-                    "preloaded snapshot has an incompatible bucket layout")
-            if adopt_epoch:
-                self._epoch = max(self._epoch + 1, snapshot.epoch)
-            else:
-                self._epoch += 1
-            self._published = (snapshot if snapshot.epoch == self._epoch
-                               else snapshot.with_epoch(self._epoch))
-            self._next_swap = self._clock.now() + self._interval
+        if not self._active.layout.compatible_with(snapshot._layout):
+            raise ConfigurationError(
+                "preloaded snapshot has an incompatible bucket layout")
+        if adopt_epoch:
+            self._epoch = max(self._epoch + 1, snapshot.epoch)
+        else:
+            self._epoch += 1
+        self._published = (snapshot if snapshot.epoch == self._epoch
+                           else snapshot.with_epoch(self._epoch))
+        self._next_swap = self._clock.now() + self._interval
 
     def force_swap(self) -> HistogramSnapshot:
         """Publish the write buffer immediately (tests and warm-up)."""
-        with self._lock:
-            self._publish_locked()
-            self._next_swap = self._clock.now() + self._interval
-            return self._published
+        self._publish()
+        self._next_swap = self._clock.now() + self._interval
+        return self._published
 
-    def _maybe_swap_locked(self, now: float) -> None:
+    def _maybe_swap(self, now: float) -> None:
         if now < self._next_swap:
             # Cold-start bootstrap: publish the very first snapshot as soon
             # as enough samples exist, rather than blindly admitting (or
@@ -203,16 +195,16 @@ class DualBufferHistogram:
             if (self._bootstrap_samples
                     and self._published.is_empty
                     and self._active.count >= self._bootstrap_samples):
-                self._publish_locked()
+                self._publish()
                 self._next_swap = now + self._interval
             return
-        self._publish_locked()
+        self._publish()
         # Skip whole intervals that elapsed with no activity so the next
         # boundary is in the future relative to ``now``.
         intervals_behind = int((now - self._next_swap) / self._interval) + 1
         self._next_swap += intervals_behind * self._interval
 
-    def _publish_locked(self) -> None:
+    def _publish(self) -> None:
         self._swaps += 1
         if (self._active.count >= self._min_samples
                 or self._published.is_empty):
@@ -264,7 +256,6 @@ class SlidingWindowHistogram:
         self._slice_starts = [float("-inf")] * self._num_slices
         self._current = 0
         self._slice_starts[0] = clock.now()
-        self._lock = threading.Lock()
         self._epoch = 0
         self._cached: Optional[HistogramSnapshot] = None
 
@@ -280,18 +271,16 @@ class SlidingWindowHistogram:
 
     def next_publish_due(self) -> float:
         """Instant of the next slice rotation (next time-driven change)."""
-        with self._lock:
-            return self._slice_starts[self._current] + self._step
+        return self._slice_starts[self._current] + self._step
 
     def record(self, value: float) -> None:
         self.record_at(self._slices[0].layout.index_for(value), value)
 
     def record_at(self, index: int, value: float) -> None:
         """:meth:`record` with the bucket index already computed."""
-        with self._lock:
-            self._advance_locked()
-            self._slices[self._current].record_at(index, value)
-            self._cached = None
+        self._advance()
+        self._slices[self._current].record_at(index, value)
+        self._cached = None
 
     def snapshot(self) -> HistogramSnapshot:
         """Merge all live slices into one immutable snapshot.
@@ -299,24 +288,23 @@ class SlidingWindowHistogram:
         The merge is cached: until a rotation or a new record invalidates
         it, repeat calls return the identical snapshot object (same epoch).
         """
-        with self._lock:
-            if self._advance_locked():
-                self._cached = None
-            cached = self._cached
-            if cached is not None:
-                return cached
-            now = self._clock.now()
-            horizon = now - self._num_slices * self._step
-            merged = LatencyHistogram(self._slices[0].layout)
-            for idx, hist in enumerate(self._slices):
-                if self._slice_starts[idx] >= horizon:
-                    merged.merge(hist)
-            self._epoch += 1
-            snap = merged.snapshot(epoch=self._epoch)
-            self._cached = snap
-            return snap
+        if self._advance():
+            self._cached = None
+        cached = self._cached
+        if cached is not None:
+            return cached
+        now = self._clock.now()
+        horizon = now - self._num_slices * self._step
+        merged = LatencyHistogram(self._slices[0].layout)
+        for idx, hist in enumerate(self._slices):
+            if self._slice_starts[idx] >= horizon:
+                merged.merge(hist)
+        self._epoch += 1
+        snap = merged.snapshot(epoch=self._epoch)
+        self._cached = snap
+        return snap
 
-    def _advance_locked(self) -> bool:
+    def _advance(self) -> bool:
         """Rotate slices up to ``now``; True when any rotation happened."""
         now = self._clock.now()
         current_start = self._slice_starts[self._current]

@@ -393,8 +393,8 @@ def empty_snapshot(layout: Optional[BucketLayout] = None) -> HistogramSnapshot:
 class LatencyHistogram:
     """Mutable recorder of latency observations.
 
-    Not thread-safe by itself; the dual-buffer publisher serializes access
-    in multi-threaded runtimes, and the simulator is single-threaded.
+    Not synchronized, like everything in :mod:`repro.core`: the host that
+    owns the policy serializes access (see :mod:`repro.core.policy`).
     """
 
     __slots__ = ("_layout", "_counts", "_count", "_sum")

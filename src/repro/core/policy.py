@@ -21,7 +21,6 @@ policy shares.
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,33 +54,19 @@ class TypeCounters:
 
 
 class PolicyStats:
-    """Thread-safe cumulative accept/reject accounting, per query type.
+    """Cumulative accept/reject accounting, per query type.
 
     These counters cover the whole run (not a sliding window); they feed the
-    rejection-percentage tables and figures in the evaluation.
+    rejection-percentage tables and figures in the evaluation.  Not
+    synchronized: the host that owns the policy serializes writers and
+    readers alike (module docstring).
     """
 
     def __init__(self) -> None:
         self._per_type: Dict[str, TypeCounters] = {}
-        self._lock = threading.Lock()
 
     def record(self, qtype: str, result: AdmissionResult) -> None:
         """Tally one admission outcome for ``qtype``."""
-        with self._lock:
-            self._record_locked(qtype, result)
-
-    def record_many(self,
-                    outcomes: Iterable[Tuple[str, AdmissionResult]]) -> None:
-        """Tally a burst of outcomes under a single lock acquisition.
-
-        Order-insensitive (counters only), so batching the lock cannot be
-        observed by readers beyond seeing the tallies land together.
-        """
-        with self._lock:
-            for qtype, result in outcomes:
-                self._record_locked(qtype, result)
-
-    def _record_locked(self, qtype: str, result: AdmissionResult) -> None:
         counters = self._per_type.get(qtype)
         if counters is None:
             counters = self._per_type[qtype] = TypeCounters()
@@ -94,34 +79,36 @@ class PolicyStats:
                 by_reason[result.reason] = (
                     by_reason.get(result.reason, 0) + 1)
 
+    def record_many(self,
+                    outcomes: Iterable[Tuple[str, AdmissionResult]]) -> None:
+        """Tally a burst of outcomes (counters only, so order-insensitive)."""
+        for qtype, result in outcomes:
+            self.record(qtype, result)
+
     def for_type(self, qtype: str) -> TypeCounters:
         """Counters for one type (zeros when never seen)."""
-        with self._lock:
-            return self._per_type.get(qtype, TypeCounters())
+        return self._per_type.get(qtype, TypeCounters())
 
     def totals(self) -> TypeCounters:
         """Aggregate counters across all query types."""
-        with self._lock:
-            total = TypeCounters()
-            for counters in self._per_type.values():
-                total.accepted += counters.accepted
-                total.rejected += counters.rejected
-                for reason, count in counters.rejected_by_reason.items():
-                    total.rejected_by_reason[reason] = (
-                        total.rejected_by_reason.get(reason, 0) + count)
-            return total
+        total = TypeCounters()
+        for counters in self._per_type.values():
+            total.accepted += counters.accepted
+            total.rejected += counters.rejected
+            for reason, count in counters.rejected_by_reason.items():
+                total.rejected_by_reason[reason] = (
+                    total.rejected_by_reason.get(reason, 0) + count)
+        return total
 
     def types(self) -> Dict[str, TypeCounters]:
         """Snapshot copy of the per-type counters."""
-        with self._lock:
-            return {qtype: TypeCounters(c.accepted, c.rejected,
-                                        dict(c.rejected_by_reason))
-                    for qtype, c in self._per_type.items()}
+        return {qtype: TypeCounters(c.accepted, c.rejected,
+                                    dict(c.rejected_by_reason))
+                for qtype, c in self._per_type.items()}
 
     def reset(self) -> None:
         """Clear all counters (used when a warm-up phase ends)."""
-        with self._lock:
-            self._per_type.clear()
+        self._per_type.clear()
 
 
 class AdmissionPolicy(abc.ABC):
@@ -214,68 +201,60 @@ class AlwaysRejectPolicy(AdmissionPolicy):
         return AdmissionResult.reject(RejectReason.ADMINISTRATIVE)
 
 
-@dataclass
 class QueueView:
     """What a policy may observe about the host's FIFO queue.
 
     The framework owns the queue; policies receive a live view with per-type
     occupancy (Bouncer's Eq. 2 input) and total length (MaxQL's input).
     Implementations must keep :meth:`count_for` and :meth:`length` cheap —
-    they run on every arrival.
+    they run on every arrival.  Not synchronized: the owning host
+    serializes :meth:`on_enqueue`/:meth:`on_dequeue` with the policy calls
+    that read the view (module docstring).
     """
 
-    counts: Dict[str, int] = field(default_factory=dict)
-    _length: int = 0
-    # The lambda defers the threading.Lock lookup to construction time so
-    # the lockcheck instrumentation (repro.analysis.lockcheck.install) also
-    # covers views created after install(), not just after this import.
-    _lock: threading.Lock = field(default_factory=lambda: threading.Lock())
-    # Occupancy-change listeners (see :meth:`subscribe`).
-    _listeners: List[Callable[[str, int], None]] = field(default_factory=list)
+    __slots__ = ("counts", "_length", "_listeners")
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+        self._length = 0
+        self._listeners: List[Callable[[str, int], None]] = []
 
     def subscribe(self, listener: Callable[[str, int], None]) -> None:
         """Register ``listener(qtype, delta)`` for occupancy changes.
 
         ``delta`` is ``+1`` on enqueue and ``-1`` on dequeue.  Listeners
-        are invoked *after* the view's lock is released so a listener may
-        take its own locks without creating a view-lock -> listener-lock
-        ordering edge (Bouncer's incremental Eq. 2 state depends on this;
-        see docs/performance.md).  Consequently, under concurrent callers
-        deliveries can arrive out of order relative to the count updates —
-        listeners must tolerate transient disagreement with
-        :meth:`occupancy` and resynchronize on their own.
+        run synchronously inside :meth:`on_enqueue`/:meth:`on_dequeue`,
+        after the counts are updated and in subscription order, so a
+        listener always sees :meth:`occupancy` agree with the deltas it
+        has been given (Bouncer's incremental Eq. 2 state is one; see
+        docs/performance.md).
         """
         self._listeners.append(listener)
 
     def on_enqueue(self, qtype: str) -> None:
-        with self._lock:
-            self.counts[qtype] = self.counts.get(qtype, 0) + 1
-            self._length += 1
+        self.counts[qtype] = self.counts.get(qtype, 0) + 1
+        self._length += 1
         for listener in self._listeners:
             listener(qtype, 1)
 
     def on_dequeue(self, qtype: str) -> None:
-        with self._lock:
-            remaining = self.counts.get(qtype, 0) - 1
-            if remaining > 0:
-                self.counts[qtype] = remaining
-            else:
-                self.counts.pop(qtype, None)
-            self._length -= 1
+        remaining = self.counts.get(qtype, 0) - 1
+        if remaining > 0:
+            self.counts[qtype] = remaining
+        else:
+            self.counts.pop(qtype, None)
+        self._length -= 1
         for listener in self._listeners:
             listener(qtype, -1)
 
     def count_for(self, qtype: str) -> int:
         """Number of queued queries of ``qtype``."""
-        with self._lock:
-            return self.counts.get(qtype, 0)
+        return self.counts.get(qtype, 0)
 
     def length(self) -> int:
         """Total queue length ``l``."""
-        with self._lock:
-            return self._length
+        return self._length
 
     def occupancy(self) -> Dict[str, int]:
         """Snapshot of per-type queue counts."""
-        with self._lock:
-            return dict(self.counts)
+        return dict(self.counts)

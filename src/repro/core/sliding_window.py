@@ -12,12 +12,13 @@ and time step ``delta`` where ``D >> delta``:
 
 Both classes keep running totals and subtract expired step-buckets lazily,
 so every operation is O(1) amortized — these sit on the per-query critical
-path, which the paper is explicit about keeping cheap.
+path, which the paper is explicit about keeping cheap.  Neither is
+synchronized: the host that owns the policy serializes its calls (see
+:mod:`repro.core.policy`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Tuple
 
@@ -53,7 +54,6 @@ class SlidingWindowCounts:
         self._totals: Dict[str, List[int]] = {}
         start = clock.now()
         self._buckets.append((start, {}))
-        self._lock = threading.Lock()
 
     @property
     def duration(self) -> float:
@@ -65,35 +65,31 @@ class SlidingWindowCounts:
 
     def record(self, key: str, accepted: bool) -> None:
         """Record one query of type ``key`` and whether it was admitted."""
-        with self._lock:
-            self._advance_locked()
-            bucket = self._buckets[-1][1]
-            cell = bucket.setdefault(key, [0, 0])
-            total = self._totals.setdefault(key, [0, 0])
-            if accepted:
-                cell[0] += 1
-                total[0] += 1
-            cell[1] += 1
-            total[1] += 1
+        self._advance()
+        bucket = self._buckets[-1][1]
+        cell = bucket.setdefault(key, [0, 0])
+        total = self._totals.setdefault(key, [0, 0])
+        if accepted:
+            cell[0] += 1
+            total[0] += 1
+        cell[1] += 1
+        total[1] += 1
 
     def accepted_count(self, key: str) -> int:
         """Accepted queries of ``key`` in the window (``aqc``)."""
-        with self._lock:
-            self._advance_locked()
-            return self._totals.get(key, (0, 0))[0]
+        self._advance()
+        return self._totals.get(key, (0, 0))[0]
 
     def received_count(self, key: str) -> int:
         """All queries of ``key`` seen in the window (``rqc``)."""
-        with self._lock:
-            self._advance_locked()
-            return self._totals.get(key, (0, 0))[1]
+        self._advance()
+        return self._totals.get(key, (0, 0))[1]
 
     def acceptance_ratio(self, key: str) -> float:
         """``aqc / max(rqc, 1)`` for one key (Algorithm 3's ``AR``)."""
-        with self._lock:
-            self._advance_locked()
-            acc, recv = self._totals.get(key, (0, 0))
-            return acc / max(recv, 1)
+        self._advance()
+        acc, recv = self._totals.get(key, (0, 0))
+        return acc / max(recv, 1)
 
     def average_acceptance_ratio(self, keys: Iterable[str]) -> float:
         """Mean acceptance ratio across ``keys`` (Algorithm 3's ``AAR``).
@@ -101,25 +97,23 @@ class SlidingWindowCounts:
         Keys never observed contribute ``0/1 = 0``, matching the
         ``max(GetQueryCount(t), 1)`` guard in the paper's pseudocode.
         """
-        with self._lock:
-            self._advance_locked()
-            keys = list(keys)
-            if not keys:
-                return 0.0
-            total = 0.0
-            for key in keys:
-                acc, recv = self._totals.get(key, (0, 0))
-                total += acc / max(recv, 1)
-            return total / len(keys)
+        self._advance()
+        keys = list(keys)
+        if not keys:
+            return 0.0
+        total = 0.0
+        for key in keys:
+            acc, recv = self._totals.get(key, (0, 0))
+            total += acc / max(recv, 1)
+        return total / len(keys)
 
     def observed_keys(self) -> List[str]:
         """Keys with at least one query in the window."""
-        with self._lock:
-            self._advance_locked()
-            return [key for key, (_, recv) in self._totals.items()
-                    if recv > 0]
+        self._advance()
+        return [key for key, (_, recv) in self._totals.items()
+                if recv > 0]
 
-    def _advance_locked(self) -> None:
+    def _advance(self) -> None:
         now = self._clock.now()
         newest_start = self._buckets[-1][0]
         if now - newest_start >= self._step:
@@ -155,7 +149,6 @@ class SlidingWindowStats:
         self._buckets.append([clock.now(), 0.0, 0])
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def duration(self) -> float:
@@ -163,13 +156,12 @@ class SlidingWindowStats:
 
     def add(self, value: float) -> None:
         """Record one observation (e.g. one processing time)."""
-        with self._lock:
-            self._advance_locked()
-            bucket = self._buckets[-1]
-            bucket[1] += value
-            bucket[2] += 1
-            self._sum += value
-            self._count += 1
+        self._advance()
+        bucket = self._buckets[-1]
+        bucket[1] += value
+        bucket[2] += 1
+        self._sum += value
+        self._count += 1
 
     def mark(self) -> None:
         """Record an event with no value (rate tracking only)."""
@@ -177,17 +169,15 @@ class SlidingWindowStats:
 
     def mean(self) -> float:
         """Moving average of the recorded values (0.0 when empty)."""
-        with self._lock:
-            self._advance_locked()
-            if self._count == 0:
-                return 0.0
-            return self._sum / self._count
+        self._advance()
+        if self._count == 0:
+            return 0.0
+        return self._sum / self._count
 
     def count(self) -> int:
         """Number of observations currently inside the window."""
-        with self._lock:
-            self._advance_locked()
-            return self._count
+        self._advance()
+        return self._count
 
     def rate(self) -> float:
         """Observations per second over the *effective* window span.
@@ -197,14 +187,13 @@ class SlidingWindowStats:
         this matters for AcceptFraction's demanded-capacity estimate right
         after startup.
         """
-        with self._lock:
-            self._advance_locked()
-            now = self._clock.now()
-            span = min(self._duration, max(now - self._buckets[0][0],
-                                           self._step))
-            return self._count / span
+        self._advance()
+        now = self._clock.now()
+        span = min(self._duration, max(now - self._buckets[0][0],
+                                       self._step))
+        return self._count / span
 
-    def _advance_locked(self) -> None:
+    def _advance(self) -> None:
         now = self._clock.now()
         newest_start = self._buckets[-1][0]
         if now - newest_start >= self._step:

@@ -12,6 +12,11 @@ Usage::
     from repro.obs import render_metrics
     print(render_metrics(server.policy, server.queue_view))
 
+It reads the policy and the view, so like every call into them it is the
+host's to serialize: on a single-threaded host call it as above; the
+threaded :class:`~repro.runtime.server.AdmissionServer` wraps it in its
+host lock (``server.render_metrics()``).
+
 Works with every policy in the library; Bouncer additionally exposes its
 per-type percentile processing-time estimates.
 """

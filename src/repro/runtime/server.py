@@ -11,6 +11,14 @@ Policies are constructed from the server's :class:`~repro.core.context
 simulator deploys here unchanged — the property the paper relies on when it
 moves Bouncer from the §5.3 simulator to the §5.4 LIquid cluster.
 
+Threading: this is the one host with threads, and :mod:`repro.core` takes
+no locks of its own, so the server serializes: one host lock is held around
+every group of calls into the policy and the queue view — decide through
+enqueue on a submitter thread, the dequeue hooks and the completion hook
+on a worker thread, the policy half of a scrape — three acquisitions per
+served query.  Handlers, future resolution and the blocking side of the
+ingress queue run outside it.
+
 Telemetry: every server owns a :class:`~repro.telemetry.Telemetry` (pass
 one with a :class:`~repro.telemetry.DecisionTracer` to capture per-query
 decision traces), its operational counters (``policy_errors``,
@@ -169,6 +177,8 @@ class AdmissionServer:
         self._threads: list = []
         self._started = False
         self._stopping = False
+        #: The host lock: guards the lifecycle flags and serializes every
+        #: call into ``policy`` and ``queue_view`` (module docstring).
         self._lock = threading.Lock()
         self._exposition: Optional[TelemetryHTTPServer] = None
 
@@ -265,7 +275,8 @@ class AdmissionServer:
             if item is _SHUTDOWN:
                 continue
             query, future = item
-            self.queue_view.on_dequeue(query.qtype)
+            with self._lock:
+                self.queue_view.on_dequeue(query.qtype)
             if future.cancel():
                 self.telemetry.on_cancelled(query, now=self._clock.now())
 
@@ -286,9 +297,11 @@ class AdmissionServer:
         registry accumulated (measured latency histograms, traces-side
         counters).
         """
-        base = render_metrics(self.policy, self.queue_view,
-                              policy_errors=self.policy_errors,
-                              expired_count=self.expired_count)
+        policy_errors, expired = self.policy_errors, self.expired_count
+        with self._lock:
+            base = render_metrics(self.policy, self.queue_view,
+                                  policy_errors=policy_errors,
+                                  expired_count=expired)
         return base + self.telemetry.render()
 
     def render_traces(self, limit: Optional[int] = None,
@@ -342,33 +355,33 @@ class AdmissionServer:
         ShuttingDownError
             The server is stopping or was never started.
         """
-        with self._lock:
-            if not self._started or self._stopping:
-                raise ShuttingDownError("server is not accepting queries")
         now = self._clock.now()
         query.arrival_time = now
-        if self._faults is not None:
+        with self._lock:
+            self._check_accepting()
             # Fault verdicts sit in front of admission: a blacked-out or
             # lossy host refuses before the policy ever sees the query.
-            override = self._faults.admission_override(query, now,
-                                                       self._host)
-            if override is not None:
-                self.telemetry.on_decision(
-                    query, override, now=now,
-                    queue_length=self.queue_view.length(),
-                    policy=self.policy)
-                raise QueryRejectedError(override)
-        try:
-            result = self.policy.decide(query)
-        except Exception:
-            # Fail open: a broken policy should cost admission control,
-            # not availability.  The error is counted for alerting.
-            self.telemetry.on_policy_error()
-            result = AdmissionResult.accept()
-        future = self._apply_decision(query, result, now)
+            result = (None if self._faults is None else
+                      self._faults.admission_override(query, now,
+                                                      self._host))
+            if result is None:
+                try:
+                    result = self.policy.decide(query)
+                except Exception:
+                    # Fail open: a broken policy should cost admission
+                    # control, not availability.  Counted for alerting.
+                    self.telemetry.on_policy_error()
+                    result = AdmissionResult.accept()
+            # Still under the lock: N concurrent submitters that all
+            # decided against the same queue state would over-admit.
+            future = self._apply_decision(query, result, now)
         if future is None:
             raise QueryRejectedError(result)
         return future
+
+    def _check_accepting(self) -> None:
+        if not self._started or self._stopping:
+            raise ShuttingDownError("server is not accepting queries")
 
     def try_submit(self, query: Query
                    ) -> "tuple[AdmissionResult, Optional[Future[Any]]]":
@@ -400,12 +413,9 @@ class AdmissionServer:
         Returns ``(result, future-or-None)`` pairs in arrival order;
         rejections are returned, not raised.
         """
-        with self._lock:
-            if not self._started or self._stopping:
-                raise ShuttingDownError("server is not accepting queries")
-        if not queries:
-            return []
         if self._faults is not None:
+            with self._lock:
+                self._check_accepting()
             return [self.try_submit(query) for query in queries]
         now = self._clock.now()
         for query in queries:
@@ -421,8 +431,10 @@ class AdmissionServer:
                         self._apply_decision(query, result, now,
                                              defer=batch)))
 
-        decide_many_fail_open(self.policy, queries, apply,
-                              self.telemetry.on_policy_error)
+        with self._lock:
+            self._check_accepting()
+            decide_many_fail_open(self.policy, queries, apply,
+                                  self.telemetry.on_policy_error)
         batch.flush()
         return out
 
@@ -485,19 +497,21 @@ class AdmissionServer:
                     now = self._clock.now()
             if (self._enforce_deadlines and query.deadline is not None
                     and now > query.deadline):
-                self.queue_view.on_dequeue(query.qtype)
+                with self._lock:
+                    self.queue_view.on_dequeue(query.qtype)
                 self.telemetry.on_expired(query, now=now)
                 future.set_exception(DeadlineExceededError(
                     f"query {query.query_id} expired in the queue"))
                 continue
             query.dequeued_at = now
-            self.queue_view.on_dequeue(query.qtype)
-            try:
-                self.policy.on_dequeued(query, query.wait_time or 0.0)
-            except Exception:
-                # Policy hooks are advisory: a buggy hook must not kill
-                # the worker or the query.
-                self.telemetry.on_policy_error()
+            with self._lock:
+                self.queue_view.on_dequeue(query.qtype)
+                try:
+                    self.policy.on_dequeued(query, query.wait_time or 0.0)
+                except Exception:
+                    # Policy hooks are advisory: a buggy hook must not
+                    # kill the worker or the query.
+                    self.telemetry.on_policy_error()
             self.telemetry.on_dequeue(query, now=now)
             handler_started = self._clock.now()
             try:
@@ -523,10 +537,11 @@ class AdmissionServer:
                         f"{self._faults.plan.name!r}"))
                     continue
             query.completed_at = self._clock.now()
-            try:
-                self.policy.on_completed(query, query.wait_time or 0.0,
-                                         query.processing_time or 0.0)
-            except Exception:
-                self.telemetry.on_policy_error()
+            with self._lock:
+                try:
+                    self.policy.on_completed(query, query.wait_time or 0.0,
+                                             query.processing_time or 0.0)
+                except Exception:
+                    self.telemetry.on_policy_error()
             self.telemetry.on_completion(query, now=query.completed_at)
             future.set_result(outcome)

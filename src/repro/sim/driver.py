@@ -88,15 +88,15 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
         :class:`~repro.sim.workload.ArrivalSchedule`); 1 reproduces the
         historical per-query arrival stream exactly.
     batched_admission:
-        Route arrivals through
+        With ``burst > 1``, route each burst through
         :meth:`~repro.sim.server.SimulatedServer.offer_many` (one
         ``decide_many`` call per same-instant burst) instead of per-query
-        ``offer`` calls.  Defaults to ``True``; both routes are
-        bit-identical (the batch-arm differential guard in
-        ``tests/test_batch_differential.py`` compares them end to end,
-        and ``decide_many`` on a single query is a batch of 1 through the
-        scalar path), so the knob exists for that comparison, not for
-        behavioural choice.
+        ``offer`` calls; with ``burst == 1`` every arrival is one
+        :meth:`~repro.sim.server.SimulatedServer.offer` either way.
+        Defaults to ``True``; both routes are bit-identical (the batch-arm
+        differential guard in ``tests/test_batch_differential.py``
+        compares them end to end), so the knob exists for that
+        comparison, not for behavioural choice.
     chunked_workload:
         Pre-generate arrivals in blocks through
         :meth:`~repro.sim.workload.ArrivalSchedule.iter_chunks` instead of
@@ -161,10 +161,7 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
                 offered += 1
                 if offered == measure_at:
                     begin_measurement()
-                if batched_admission:
-                    server.offer_many((query,))
-                else:
-                    server.offer(query)
+                server.offer(query)
                 if offered != total:
                     if pos == buflen:
                         buffer = next(chunk_iter)
@@ -293,9 +290,9 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
                 index += length
             finish_or_continue()
 
-        if burst == 1 and not batched_admission:
-            # The historical per-query path, byte-for-byte (the seed arm
-            # every batched run is differentially tested against).
+        if burst == 1:
+            # One arrival per instant is one ``decide``, never a batch of
+            # one (the historical per-query path, byte-for-byte).
             first = next(arrivals)
             sim.schedule_at(first.arrival_time, lambda: arrive(first))
         else:

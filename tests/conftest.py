@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import lockcheck
 from repro.core import HostContext, ManualClock, QueueView
 
 # Lock-order checking for the whole suite: a no-op unless REPRO_LOCKCHECK
 # is set in the environment (CI sets it on the chaos/differential jobs).
 pytest_plugins = ("repro.analysis.pytest_plugin",)
+
+
+@pytest.fixture
+def lock_registry():
+    """The lock-order checker's registry, installed for this test alone
+    unless the whole suite already runs under it (``REPRO_LOCKCHECK=1``)."""
+    suite_wide = lockcheck.current_registry() is not None
+    registry = lockcheck.install()
+    yield registry
+    if not suite_wide:
+        lockcheck.uninstall()
 
 
 @pytest.fixture

@@ -1,183 +1,248 @@
-"""Concurrency tests: shared structures under thread contention.
+"""Concurrency tests: the one threaded host under contention.
 
-The threaded runtime exercises these structures from many workers at
-once; these tests hammer them directly and check the invariants that the
-per-call locks are supposed to protect.
+``repro.core`` takes no locks.  A policy, its queue view, its stats and
+its histograms belong to one host, and the host serializes its calls into
+them -- hammering those structures from bare threads would test a
+contract nobody offers.  The contract that exists is the host's:
+:class:`~repro.runtime.AdmissionServer` holds one lock around every group
+of calls it makes into the policy and the view, so whatever its
+submitters, workers and scrape thread do at once, nothing is lost.
 
-All tests drive time through :class:`~repro.core.ManualClock` and line
-threads up on a start barrier, so interval swaps happen exactly where the
-test advances the clock and assertions can be exact — no wall-clock
-sleeps, no tolerance bands, no flakiness on slow CI machines.
+Each battery releases its submitter threads from a barrier against a
+started server with a scraper running beside them, and then checks
+conservation, exactly: every offered query got one verdict, every
+accepted query ended one way, the view is back to zero, the general
+histogram holds one sample per completion, and the policy's tallies add
+up to what was offered.  Run under ``REPRO_LOCKCHECK=1`` (CI loops it
+twenty times) the same batteries feed the lock graph.
 """
 
+import sys
 import threading
 
-from repro.core import (DualBufferHistogram, ManualClock, PolicyStats,
-                        QueueView, SlidingWindowCounts, SlidingWindowStats)
-from repro.core.types import AdmissionResult, RejectReason
+import pytest
+
+from repro.analysis import lockcheck
+from repro.core import (BouncerConfig, BouncerPolicy, LatencySLO, Query,
+                        SLORegistry)
+from repro.exceptions import DeadlineExceededError, ShuttingDownError
+from repro.runtime import AdmissionServer
+from repro.telemetry import DecisionTracer, Telemetry
+
+TYPES = ("fast", "slow", "bulk")
+SUBMITTERS = 6
+ROUNDS = 12
+BURST = 8
+#: Per submitter and round: one burst, then ``BURST`` single submissions.
+PER_SUBMITTER = ROUNDS * 2 * BURST
+JOIN_TIMEOUT = 30.0
 
 
-def run_threads(worker, count=8):
-    """Run ``worker`` in ``count`` threads released simultaneously."""
-    start = threading.Event()
-
-    def gated():
-        start.wait()
-        worker()
-
-    threads = [threading.Thread(target=gated) for _ in range(count)]
-    for thread in threads:
-        thread.start()
-    start.set()
-    for thread in threads:
-        thread.join()
+@pytest.fixture(autouse=True)
+def short_switch_interval():
+    """Preempt threads every 10 us so interleavings actually happen."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
-class TestDualBufferConcurrency:
-    def test_no_records_lost(self):
-        # Frozen manual clock: no interval boundary can fire mid-test, so
-        # every record lands in the write buffer and one forced swap must
-        # publish all of them — an exact conservation check.
-        clock = ManualClock()
-        buf = DualBufferHistogram(clock, interval=0.01, min_samples=1)
-        per_thread = 2000
+def bouncer_factory(ctx):
+    # One bootstrap publish after 40 completions, then no time-driven
+    # swap for the length of the test: the published view plus the write
+    # buffer is every sample ever recorded.  An 8 ms p50 target against
+    # ~1 ms handlers makes the policy reject once the queue builds.
+    return BouncerPolicy(ctx, BouncerConfig(
+        slos=SLORegistry.uniform(LatencySLO.from_ms(p50=8, p90=20), TYPES),
+        histogram_interval=3600.0, histogram_window=3600.0, min_samples=5,
+        retain_min_samples=0, bootstrap_samples=40))
 
-        def worker():
-            for _ in range(per_thread):
-                buf.record(0.001)
 
-        run_threads(worker)
-        assert buf.force_swap().count == 8 * per_thread
+def recorded_samples(histogram):
+    """Every sample a dual buffer ever took: published view + write side."""
+    return histogram.snapshot().count + histogram.force_swap().count
 
-    def test_records_split_across_intervals_conserved(self):
-        # Two deterministic interval boundaries: records before each
-        # advance are published by it; the published counts plus the final
-        # forced swap must sum to everything recorded.
-        clock = ManualClock()
-        buf = DualBufferHistogram(clock, interval=1.0, min_samples=1)
-        first_batch = threading.Barrier(5)  # 4 workers + main
-        per_phase = 1000
 
-        def worker():
-            for _ in range(per_phase):
-                buf.record(0.001)
-            first_batch.wait()
-            first_batch.wait()  # main swaps in between
-            for _ in range(per_phase):
-                buf.record(0.002)
+class Battery:
+    """Submitters, workers and a scraper against one server."""
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        first_batch.wait()        # all phase-1 records are in
-        clock.advance(1.5)
-        published = buf.snapshot()  # boundary passed: publishes phase 1
-        assert published.count == 4 * per_phase
-        first_batch.wait()        # release phase 2
-        for thread in threads:
-            thread.join()
-        assert buf.force_swap().count == 4 * per_phase
+    def __init__(self, handler_s=0.0005, workers=4):
+        self.stop_work = threading.Event()
 
-    def test_snapshot_immutable_under_writes(self):
-        clock = ManualClock()
-        buf = DualBufferHistogram(clock, interval=1.0, min_samples=1)
-        stop = threading.Event()
-        started = threading.Event()
+        def handler(query):
+            self.stop_work.wait(handler_s)
+            return query.qtype
 
-        def writer():
-            started.set()
-            while not stop.is_set():
-                buf.record(0.002)
+        self.telemetry = Telemetry(tracer=DecisionTracer(sample_rate=0.25))
+        self.server = AdmissionServer(bouncer_factory, handler,
+                                      workers=workers,
+                                      telemetry=self.telemetry)
+        self.outcomes = []          # (result, future-or-None), any order
+        self.refused = []           # submitters turned away by stop()
+        self.scrapes = []
+        self.errors = []
+        self._barrier = threading.Barrier(SUBMITTERS + 1)
+        self._scraping = threading.Event()
 
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        started.wait()
+    def _submitter(self, seed):
+        server = self.server
         try:
-            for _ in range(200):
-                # Each advance crosses an interval boundary, so snapshots
-                # are republished continually while writers hammer away.
-                clock.advance(1.0)
-                snap = buf.snapshot()
-                count_before = snap.count
-                mean_before = snap.mean()
-                # The same snapshot object must not change underneath us.
-                assert snap.count == count_before
-                assert snap.mean() == mean_before
+            self._barrier.wait(timeout=JOIN_TIMEOUT)
+            for round_index in range(ROUNDS):
+                now = server.ctx.clock.now()
+                burst = [Query(qtype=TYPES[(seed + i) % 3])
+                         for i in range(BURST)]
+                # One query per burst is already past its deadline: if
+                # admitted it must expire in the queue, never run.
+                burst[round_index % BURST].deadline = now - 1.0
+                self.outcomes.extend(server.submit_many(burst))
+                for i in range(BURST):
+                    self.outcomes.append(server.try_submit(
+                        Query(qtype=TYPES[(seed + round_index + i) % 3])))
+        except ShuttingDownError:
+            self.refused.append(seed)
+        except Exception as exc:  # surfaced by the test body
+            self.errors.append(exc)
+
+    def _scraper(self):
+        try:
+            while not self._scraping.is_set():
+                self.scrapes.append(self.server.render_metrics())
+        except Exception as exc:
+            self.errors.append(exc)
+
+    def run(self, stop_once_offered=None):
+        """Run to the end, or give up once that many verdicts are in."""
+        submitters = [threading.Thread(target=self._submitter, args=(seed,))
+                      for seed in range(SUBMITTERS)]
+        scraper = threading.Thread(target=self._scraper)
+        self.server.start()
+        try:
+            scraper.start()
+            for thread in submitters:
+                thread.start()
+            self._barrier.wait(timeout=JOIN_TIMEOUT)
+            if stop_once_offered is not None:
+                while len(self.outcomes) < stop_once_offered:
+                    self.stop_work.wait(0.0005)
+                self.server.stop(timeout=0.01)
+            for thread in submitters:
+                thread.join(timeout=JOIN_TIMEOUT)
+            assert not any(thread.is_alive() for thread in submitters)
         finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
+            self.server.stop(timeout=JOIN_TIMEOUT)
+            self._scraping.set()
+            scraper.join(timeout=JOIN_TIMEOUT)
+        assert not scraper.is_alive()
+        assert self.errors == []
+
+    def check_conservation(self):
+        server = self.server
+        offered = len(self.outcomes)
+        futures = [future for _, future in self.outcomes
+                   if future is not None]
+        accepted = sum(1 for result, _ in self.outcomes if result.accepted)
+        rejected = offered - accepted
+        assert accepted == len(futures)
+
+        completed = expired = cancelled = 0
+        for future in futures:
+            assert future.done()
+            if future.cancelled():
+                cancelled += 1
+            elif isinstance(future.exception(timeout=0),
+                            DeadlineExceededError):
+                expired += 1
+            else:
+                assert future.result(timeout=0) in TYPES
+                completed += 1
+        assert accepted == completed + expired + cancelled
+        assert server.expired_count == expired
+        assert server.cancelled_count == cancelled
+
+        assert server.queue_view.length() == 0
+        assert server.queue_view.occupancy() == {}
+
+        totals = server.policy.stats.totals()
+        assert totals.received == offered
+        assert totals.accepted == accepted
+        assert totals.rejected == rejected
+        assert sum(totals.rejected_by_reason.values()) == rejected
+
+        policy = server.policy
+        assert recorded_samples(policy._general) == completed
+        assert sum(recorded_samples(hist)
+                   for hist in policy._hists.values()) == completed
+        assert server.policy_errors == 0
+        return offered, completed, expired, cancelled
 
 
-class TestQueueViewConcurrency:
-    def test_balanced_enqueue_dequeue_returns_to_zero(self):
-        view = QueueView()
-        per_thread = 5000
+class TestHostConservation:
+    def test_nothing_lost_under_contention(self):
+        battery = Battery()
+        battery.run()
+        offered, completed, expired, cancelled = (
+            battery.check_conservation())
+        assert battery.refused == []
+        assert offered == SUBMITTERS * PER_SUBMITTER
+        assert cancelled == 0
+        assert completed > 0 and expired > 0
+        assert battery.scrapes
+        assert all("queue_length" in body for body in battery.scrapes)
 
-        def worker():
-            for i in range(per_thread):
-                view.on_enqueue("t")
-                view.on_dequeue("t")
-
-        run_threads(worker)
-        assert view.length() == 0
-        assert view.count_for("t") == 0
-
-    def test_length_equals_sum_of_counts(self):
-        view = QueueView()
-
-        def worker():
-            for i in range(3000):
-                view.on_enqueue(f"t{i % 3}")
-
-        run_threads(worker, count=4)
-        occupancy = view.occupancy()
-        assert sum(occupancy.values()) == view.length() == 12000
+    def test_nothing_lost_when_stopped_mid_flight(self):
+        # Slow handlers and a stop() that gives up at once: part of the
+        # backlog is abandoned while submitters are still arriving.
+        battery = Battery(handler_s=0.005, workers=2)
+        battery.run(stop_once_offered=4 * BURST)
+        offered, _, _, cancelled = battery.check_conservation()
+        assert battery.refused, "stop() must turn late submitters away"
+        assert offered < SUBMITTERS * PER_SUBMITTER
+        assert cancelled > 0, "a 10 ms budget must abandon some backlog"
 
 
-class TestSlidingWindowConcurrency:
-    def test_counts_conserved(self):
-        # Frozen clock: nothing can age out of the window mid-test.
-        clock = ManualClock()
-        window = SlidingWindowCounts(clock, duration=60.0, step=1.0)
-        per_thread = 3000
-
-        def worker():
-            for i in range(per_thread):
-                window.record("k", accepted=(i % 2 == 0))
-
-        run_threads(worker, count=4)
-        assert window.received_count("k") == 4 * per_thread
-        assert window.accepted_count("k") == 2 * per_thread
-
-    def test_stats_sum_conserved(self):
-        clock = ManualClock()
-        stats = SlidingWindowStats(clock, duration=60.0, step=1.0)
-
-        def worker():
-            for _ in range(2000):
-                stats.add(0.001)
-
-        run_threads(worker, count=4)
-        assert stats.count() == 8000
-        assert abs(stats.mean() - 0.001) < 1e-9
+def lock_edges(registry):
+    """The lock graph as ``{(holder id, acquired id)}`` plus lock names."""
+    with registry._mutex:
+        return ({(source, target)
+                 for source, targets in registry._graph.items()
+                 for target in targets}, dict(registry._names))
 
 
-class TestPolicyStatsConcurrency:
-    def test_tallies_conserved(self):
-        stats = PolicyStats()
+class TestLockGraph:
+    def test_host_lock_precedes_telemetry_and_nothing_else(
+            self, lock_registry, monkeypatch):
+        registry = lock_registry
+        taken = []
+        real_acquire = lockcheck.CheckedLock.acquire
 
-        def worker():
-            for i in range(4000):
-                if i % 3:
-                    stats.record("t", AdmissionResult.accept())
-                else:
-                    stats.record("t", AdmissionResult.reject(
-                        RejectReason.CAPACITY))
+        def acquire(self, *args, **kwargs):
+            taken.append(self)
+            return real_acquire(self, *args, **kwargs)
 
-        run_threads(worker, count=4)
-        totals = stats.totals()
-        assert totals.received == 16000
-        assert totals.rejected == totals.rejected_by_reason[
-            RejectReason.CAPACITY]
+        monkeypatch.setattr(lockcheck.CheckedLock, "acquire", acquire)
+        # Under REPRO_LOCKCHECK=1 the graph already holds the suite's
+        # edges (and ids of freed locks get reused): judge the new ones.
+        before, _ = lock_edges(registry)
+        battery = Battery()
+        battery.run()
+        offered, _, _, _ = battery.check_conservation()
+        host_lock = battery.server._lock
+        assert isinstance(host_lock, lockcheck.CheckedLock)
+        after, names = lock_edges(registry)
+        # Decide-to-enqueue, dequeue, completion: three per query at most
+        # (a burst shares the first), one per scrape, a few to start/stop.
+        assert sum(1 for lock in taken if lock is host_lock) <= (
+            3 * offered + len(battery.scrapes) + 8)
+        new = after - before
+        under_host = [names[target] for source, target in new
+                      if source == id(host_lock)]
+        assert under_host, "decisions record telemetry under the host lock"
+        assert [site for site in under_host
+                if "/repro/telemetry/" not in site] == []
+        # Nobody takes the host lock while holding another lock.
+        assert [names[source] for source, target in new
+                if target == id(host_lock)] == []
+        assert registry.violations == []

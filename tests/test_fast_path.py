@@ -223,13 +223,39 @@ ENQUEUE_WHILE_BOOTSTRAP_PENDING = (
     + [("advance", 0.4), ("decide", "fast")])
 
 
+#: Found by hypothesis once ``retain_min_samples=0`` was in its reach
+#: (open since PR 12).  The third record fires the bootstrap publish and
+#: stays in the write buffer; at 1.0 a time-driven publish is due, and the
+#: enqueue-time touch made it -- a one-sample view -- so by the decision
+#: at 2.0 the fast path published the empty interval after it (nothing is
+#: retained at 0) and decided on nothing, ACCEPT {50: 0.0, 90: 0.0}, where
+#: the naive walk, touching the buffer for the first time since 0.0,
+#: published the one sample and REJECTed at {50: 0.1576, 90: 0.1596}.
+ENQUEUE_WHILE_PUBLISH_DUE = (
+    [("record", ("fast", 0.125))] * 3
+    + [("advance", 1.0), ("enqueue", "fast"), ("advance", 1.0),
+       ("decide", "fast")])
+
+#: The same on the general histogram alone.  ``fast``'s histogram is made
+#: at 0.4, so at 1.2 nothing is due on it, but it is cold, so its term
+#: reads the general view -- whose boundary, set by the bootstrap publish
+#: at 0.0, passed at 1.0 with one sample in the write buffer.
+ENQUEUE_WHILE_GENERAL_PUBLISH_DUE = (
+    [("record", ("slow", 0.125))] * 3
+    + [("advance", 0.4), ("decide", "fast"), ("advance", 0.4),
+       ("advance", 0.4), ("enqueue", "fast"), ("advance", 1.0),
+       ("decide", "fast")])
+
+
 class TestFastPathEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(ops=op_strategy())
-    @example(ops=ENQUEUE_BEFORE_FIRST_DECISION)
-    @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING)
-    def test_dual_buffer_interleavings(self, ops):
-        runner = ScriptRunner(min_samples=3, retain_min_samples=2,
+    @given(ops=op_strategy(), retain=st.sampled_from([0, 2]))
+    @example(ops=ENQUEUE_BEFORE_FIRST_DECISION, retain=2)
+    @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING, retain=2)
+    @example(ops=ENQUEUE_WHILE_PUBLISH_DUE, retain=0)
+    @example(ops=ENQUEUE_WHILE_GENERAL_PUBLISH_DUE, retain=0)
+    def test_dual_buffer_interleavings(self, ops, retain):
+        runner = ScriptRunner(min_samples=3, retain_min_samples=retain,
                               bootstrap_samples=2)
         runner.assert_identical(runner.run(ops))
 
@@ -237,6 +263,8 @@ class TestFastPathEquivalence:
     @given(ops=op_strategy())
     @example(ops=ENQUEUE_BEFORE_FIRST_DECISION)
     @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING)
+    @example(ops=ENQUEUE_WHILE_PUBLISH_DUE)
+    @example(ops=ENQUEUE_WHILE_GENERAL_PUBLISH_DUE)
     def test_sliding_window_interleavings(self, ops):
         runner = ScriptRunner(histogram_mode=HISTOGRAMS_SLIDING_WINDOW,
                               histogram_window=3.0, min_samples=2)

@@ -6,15 +6,21 @@ Two kinds of test, neither of which times anything:
   ``BucketLayout.index_for`` used before it became one ``bisect_right``,
   kept here so the two can be held equal over the whole float line;
 * work counts: how often the hot path enters ``index_for`` and
-  ``_maybe_swap_locked``, and who owns each result's estimates dict.
+  ``_maybe_swap``, who owns each result's estimates dict, and how many
+  locks a single-threaded host creates and takes in ``repro.core`` (none).
 """
 
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core
+from repro.analysis import lockcheck
+from repro.bench import make_bouncer, simulation_mix
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, Query, QueueView,
                         SLORegistry)
@@ -22,6 +28,7 @@ from repro.core.bouncer import HISTOGRAMS_SLIDING_WINDOW
 from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
 from repro.core.histogram import (DEFAULT_LAYOUT, BucketLayout,
                                   LatencyHistogram)
+from repro.sim import run_simulation
 from repro.telemetry.registry import HistogramChild
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
@@ -154,9 +161,9 @@ class CountingDualBuffer(DualBufferHistogram):
 
     entered = 0
 
-    def _maybe_swap_locked(self, now: float) -> None:
+    def _maybe_swap(self, now: float) -> None:
         self.entered += 1
-        super()._maybe_swap_locked(now)
+        super()._maybe_swap(now)
 
 
 def make_policy(**config):
@@ -263,3 +270,85 @@ class TestWorkCounts:
                 burst, policy.decide_many(burst, callback))
             if query.qtype == "fast"]
         self.check_owned(policy, fast_only)
+
+
+CORE_DIR = pathlib.Path(repro.core.__file__).parent
+
+
+@pytest.fixture
+def lock_ledger(monkeypatch, lock_registry):
+    """Every instrumented lock made or taken while the checker is installed.
+
+    Two lists of creation sites (``file:line``): one entry per lock
+    created from ``repro`` code, one per acquisition of such a lock.
+    """
+    created, acquired = [], []
+    real_init = lockcheck.CheckedLock.__init__
+    real_acquire = lockcheck.CheckedLock.acquire
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        created.append(self._name)
+
+    def acquire(self, *args, **kwargs):
+        acquired.append(self._name)
+        return real_acquire(self, *args, **kwargs)
+
+    monkeypatch.setattr(lockcheck.CheckedLock, "__init__", init)
+    monkeypatch.setattr(lockcheck.CheckedLock, "acquire", acquire)
+    return created, acquired
+
+
+def from_core(sites):
+    return [site for site in sites if str(CORE_DIR) in site]
+
+
+class TestNoLocksInCore:
+    """The kernel is lock-free by contract: hosts serialize, core does not."""
+
+    def test_ledger_sees_locks_elsewhere(self, lock_ledger):
+        # The instrument works: a registry child is a repro lock.
+        created, acquired = lock_ledger
+        HistogramChild(DEFAULT_LAYOUT).observe(0.004)
+        assert created and acquired
+        assert not from_core(created)
+
+    def test_simulation_takes_no_core_lock(self, lock_ledger):
+        created, acquired = lock_ledger
+        mix = simulation_mix()
+        report = run_simulation(mix, make_bouncer(),
+                                rate_qps=1.2 * mix.full_load_qps(50),
+                                num_queries=2000, parallelism=50, seed=3)
+        assert report.overall.completed > 0 and report.overall.rejected > 0
+        assert from_core(created) == []
+        assert from_core(acquired) == []
+
+    @pytest.mark.parametrize("mode", ["dual-buffer",
+                                      HISTOGRAMS_SLIDING_WINDOW])
+    def test_host_loop_takes_no_core_lock(self, lock_ledger, mode):
+        created, acquired = lock_ledger
+        policy, clock, queue = make_policy(histogram_mode=mode)
+        fifo = []
+        for index in range(2000):
+            clock.advance(0.001)
+            while len(fifo) > 3:
+                head = fifo.pop(0)
+                queue.on_dequeue(head.qtype)
+                policy.on_dequeued(head, 0.002)
+                policy.on_completed(head, 0.002, 0.03)
+            query = Query("slow" if index % 3 else "fast")
+            if policy.decide(query).accepted:
+                fifo.append(query)
+                queue.on_enqueue(query.qtype)
+                policy.on_enqueued(query)
+        policy.decide_many([Query("fast"), Query("slow")])
+        totals = policy.stats.totals()
+        assert totals.received == 2002 and totals.rejected > 0
+        assert from_core(created) == []
+        assert from_core(acquired) == []
+
+    def test_no_core_module_imports_threading(self):
+        imports = re.compile(r"^\s*(import|from)\s+threading\b", re.MULTILINE)
+        offenders = [path.name for path in sorted(CORE_DIR.rglob("*.py"))
+                     if imports.search(path.read_text())]
+        assert offenders == []

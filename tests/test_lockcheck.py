@@ -196,10 +196,10 @@ class TestInstall:
     def test_repro_locks_are_instrumented_others_are_not(self):
         registry = install()
         try:
-            from repro.core.policy import PolicyStats
+            from repro.telemetry import MetricsRegistry
 
-            stats = PolicyStats()
-            assert isinstance(stats._lock, CheckedLock)
+            # repro.core takes no locks; the telemetry registry does.
+            assert isinstance(MetricsRegistry()._lock, CheckedLock)
             # A lock created from this (non-repro) module stays real.
             local = threading.Lock()
             assert not isinstance(local, CheckedLock)

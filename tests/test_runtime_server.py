@@ -1,12 +1,13 @@
 """Tests for the real threaded AdmissionServer."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core import (AlwaysAcceptPolicy, AlwaysRejectPolicy,
                         BouncerConfig, BouncerPolicy, LatencySLO,
-                        SLORegistry)
+                        MaxQueueLengthPolicy, SLORegistry)
 from repro.core.types import AdmissionResult, Query, RejectReason
 from repro.exceptions import (ConfigurationError, QueryRejectedError,
                               ShuttingDownError)
@@ -123,6 +124,64 @@ class TestSubmission:
                    server.ctx.clock.now() < deadline):
                 time.sleep(0.001)  # repro: allow=no-wall-clock (real-thread server timing)
             assert server.queue_view.length() == 0
+
+
+class DawdlingMaxQL(MaxQueueLengthPolicy):
+    """MaxQL that pauses between reading the queue length and answering.
+
+    The pause widens the window between check and act: submitters that
+    the host does not serialize all read the same length and all get in,
+    every run rather than one run in fifty.
+    """
+
+    def _decide(self, query: Query) -> AdmissionResult:
+        result = super()._decide(query)
+        time.sleep(0.002)  # repro: allow=no-wall-clock (real threads racing)
+        return result
+
+
+class TestAdmissionIsAtomic:
+    def test_concurrent_submitters_cannot_over_admit(self):
+        limit, workers, submitters = 4, 2, 32
+        release = threading.Event()
+
+        def parked(query):
+            release.wait(timeout=10.0)
+            return "ok"
+
+        server = AdmissionServer(
+            lambda ctx: DawdlingMaxQL(ctx, limit=limit), parked,
+            workers=workers)
+        lengths = []
+        server.queue_view.subscribe(
+            lambda qtype, delta: lengths.append(server.queue_view.length()))
+        barrier = threading.Barrier(submitters)
+        outcomes = []
+
+        def submitter():
+            barrier.wait(timeout=10.0)
+            outcomes.append(server.try_submit(Query(qtype="x")))
+
+        threads = [threading.Thread(target=submitter)
+                   for _ in range(submitters)]
+        with server:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            release.set()
+            futures = [future for _, future in outcomes
+                       if future is not None]
+            assert [f.result(timeout=5.0) for f in futures] == (
+                ["ok"] * len(futures))
+        # At most ``limit`` wait while each parked worker holds one more.
+        assert limit <= len(futures) <= limit + workers
+        assert max(lengths) <= limit
+        totals = server.policy.stats.totals()
+        assert totals.received == submitters == len(outcomes)
+        assert totals.accepted == len(futures)
+        assert server.queue_view.length() == 0
 
 
 class TestWithBouncer:
@@ -318,7 +377,6 @@ class TestShutdownUnderLoad:
                                slow_handler, workers=workers)
 
     def assert_no_engine_threads(self):
-        import threading
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("repro-engine-") and t.is_alive()]
 
