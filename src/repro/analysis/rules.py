@@ -851,132 +851,3 @@ class SeqlockDisciplineRule(LintRule):
                 self.report(node, "seqlock payload read is never "
                                   "re-validated; re-read the generation "
                                   "after the copy and retry on mismatch")
-
-
-def _pool_release_target(node: ast.AST) -> Optional[str]:
-    """The name released by a ``<pool>.release(name)`` call, else None.
-
-    Scope guard: the receiver chain must contain an identifier with
-    "pool" in it (``pool``, ``self._query_pool``, ...), so the ubiquitous
-    ``lock.release()`` never matches.
-    """
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release"
-            and len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Name)
-            and any("pool" in part.lower()
-                    for part in _chain_identifiers(node.func.value))):
-        return node.args[0].id
-    return None
-
-
-@register_rule
-class PoolDisciplineRule(LintRule):
-    """Released pool objects are dead: no further use, no second release.
-
-    ``QueryPool.release`` hands the object to the free list; the next
-    ``acquire`` re-initializes the *same* object for an unrelated query.
-    Using a name after releasing it therefore reads (or mutates) another
-    live query's state, and releasing it twice puts one object on the
-    free list twice — two acquires then share a query.  Both corruptions
-    are silent until a report's counts drift, which is exactly the class
-    of bug the bit-identity differential guards exist to catch late;
-    this rule catches it at lint time.
-
-    The analysis is block-structured and flow-insensitive across
-    branches: a release only poisons the *following sibling statements*
-    of the block it textually occurs in (plus nested blocks entered from
-    there), so ``if pool is not None: pool.release(q)`` does not flag an
-    unrelated use of ``q`` on the pool-less path.  Rebinding the name
-    (``q = pool.acquire(...)``, a loop target, ...) clears the poison.
-    Cross-iteration and cross-function aliasing are out of scope.
-    """
-
-    name = "pool-discipline"
-    description = ("an object passed to <pool>.release() must not be "
-                   "used or released again; the pool recycles it into "
-                   "the next acquire")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._scan(node.body, {})
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._scan(node.body, {})
-        self.generic_visit(node)
-
-    @staticmethod
-    def _target_stores(target: ast.AST) -> List[str]:
-        return [name.id for name in ast.walk(target)
-                if isinstance(name, ast.Name)
-                and isinstance(name.ctx, ast.Store)]
-
-    def _scan(self, stmts: List[ast.stmt], live: dict) -> None:
-        """Walk one statement block; ``live`` maps released names to the
-        release call that killed them."""
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # nested scopes own their names
-            if isinstance(stmt, ast.If):
-                self._visit_simple(stmt.test, live)
-                self._scan(stmt.body, dict(live))
-                self._scan(stmt.orelse, dict(live))
-                continue
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._visit_simple(stmt.iter, live)
-                inner = dict(live)
-                for name in self._target_stores(stmt.target):
-                    inner.pop(name, None)
-                self._scan(stmt.body, inner)
-                self._scan(stmt.orelse, dict(live))
-                continue
-            if isinstance(stmt, ast.While):
-                self._visit_simple(stmt.test, live)
-                self._scan(stmt.body, dict(live))
-                self._scan(stmt.orelse, dict(live))
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._visit_simple(item.context_expr, live)
-                self._scan(stmt.body, live)  # body runs unconditionally
-                continue
-            if isinstance(stmt, ast.Try):
-                self._scan(stmt.body, dict(live))
-                for handler in stmt.handlers:
-                    self._scan(handler.body, dict(live))
-                self._scan(stmt.orelse, dict(live))
-                self._scan(stmt.finalbody, live)
-                continue
-            self._visit_simple(stmt, live)
-
-    def _visit_simple(self, node: ast.AST, live: dict) -> None:
-        """One simple statement (or expression): report uses of released
-        names, apply stores, then record this statement's releases."""
-        releases: List[str] = []
-        release_args: set = set()
-        for child in ast.walk(node):
-            target = _pool_release_target(child)
-            if target is not None:
-                releases.append(target)
-                release_args.add(id(child.args[0]))  # type: ignore[attr-defined]
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Name) or child.id not in live:
-                continue
-            if isinstance(child.ctx, ast.Store):
-                live.pop(child.id, None)
-            elif isinstance(child.ctx, ast.Load):
-                if id(child) in release_args:
-                    self.report(child, f"{child.id!r} released to the "
-                                       f"pool twice; two later acquires "
-                                       f"will share one query object")
-                else:
-                    self.report(child, f"{child.id!r} is used after "
-                                       f"pool.release(); the pool may "
-                                       f"already have recycled it into "
-                                       f"a different live query")
-                live.pop(child.id, None)  # one report per poisoning
-        for name in releases:
-            live[name] = node

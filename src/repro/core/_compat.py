@@ -11,6 +11,13 @@ pure-python fallback for one module by monkeypatching its ``_np`` global,
 and CI can force it process-wide with ``REPRO_NO_NUMPY=1`` (read once at
 import).  The two implementations must be bit-identical; numpy is a speed
 lever, never a semantics lever (``tests/test_numpy_fallback.py``).
+
+The one consumer is :mod:`repro.core.histogram`:
+``HistogramSnapshot.percentiles`` switches to ``searchsorted`` at
+``NUMPY_MIN_TARGETS`` (six) or more targets.  The shipped SLOs carry two,
+so no simulated or gateway workload reaches that arm; the referee's
+standalone ``core.histogram.percentiles6_per_s`` drive does, and that is
+what ``REPRO_NO_NUMPY`` changes there.
 """
 
 from __future__ import annotations

@@ -115,73 +115,6 @@ class Query:
         return self.completed_at - self.enqueued_at
 
 
-class QueryPool:
-    """Free-list recycler for :class:`Query` objects.
-
-    Million-query simulations allocate (and garbage-collect) one ``Query``
-    per arrival; the pool caps that churn by recycling objects whose
-    lifecycle has ended.  The contract mirrors the simulator's event
-    free-list:
-
-    * :meth:`acquire` hands out a fully re-initialised query — every slot
-      is reset and a **fresh** ``query_id`` is drawn, so downstream maps
-      keyed by id (tracers, calibration joins) can never collide with a
-      previous tenancy;
-    * :meth:`release` is the *only* way to return an object.  Callers must
-      not stash released queries or re-enqueue them by hand (the
-      ``pool-discipline`` lint rule in :mod:`repro.analysis` enforces
-      this), because the next ``acquire`` will re-initialise the object
-      under them.
-
-    Only enable pooling when nothing retains queries past their terminal
-    point (rejection, expiration, completion).  The stock simulator
-    metrics, policies, and fault injector keep only derived scalars;
-    telemetry tracers and user decision hooks may keep references, so the
-    driver disables pooling when those are attached.
-    """
-
-    __slots__ = ("_free", "_capacity", "allocated", "recycled")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self._free: list = []
-        self._capacity = capacity
-        #: Queries constructed because the free list was empty.
-        self.allocated = 0
-        #: Acquires served from the free list.
-        self.recycled = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, qtype: str, arrival_time: float = 0.0,
-                deadline: Optional[float] = None,
-                payload: Any = None) -> Query:
-        """Return a reset query (recycled when possible, else fresh)."""
-        free = self._free
-        if free:
-            query: Query = free.pop()
-            self.recycled += 1
-            query.qtype = qtype
-            query.arrival_time = arrival_time
-            query.deadline = deadline
-            query.payload = payload
-            query.query_id = next_query_id()
-            query.enqueued_at = None
-            query.dequeued_at = None
-            query.completed_at = None
-            query.service_time = None
-            query.span_ctx = None
-            query.window = 0
-            return query
-        self.allocated += 1
-        return Query(qtype, arrival_time, deadline, payload)
-
-    def release(self, query: Query) -> None:
-        """Return ``query`` to the free list (drop it when full)."""
-        if len(self._free) < self._capacity:
-            self._free.append(query)
-
-
 class Decision(enum.Enum):
     """Outcome of an admission decision."""
 

@@ -776,11 +776,15 @@ class ClusterMetrics:
         out["ALL"] = within / total if total else 0.0
         return out
 
+    def _measured_types(self) -> List[str]:
+        """Types with any outcome, sorted: set order follows the process's
+        string-hash seed, and the pooled means sum in this order."""
+        return sorted(set(self.responses) | set(self.broker_rejections)
+                      | set(self.shard_rejections))
+
     def build_type_stats(self) -> Dict[str, TypeStats]:
         stats: Dict[str, TypeStats] = {}
-        qtypes = (set(self.responses) | set(self.broker_rejections)
-                  | set(self.shard_rejections))
-        for qtype in qtypes:
+        for qtype in self._measured_types():
             responses = self.responses.get(qtype, [])
             procs = self.processing.get(qtype, [])
             rejected = (self.broker_rejections.get(qtype, 0)
@@ -800,8 +804,7 @@ class ClusterMetrics:
         pooled_rt: List[float] = []
         pooled_pt: List[float] = []
         rejected = 0
-        for qtype in set(self.responses) | set(self.broker_rejections) | set(
-                self.shard_rejections):
+        for qtype in self._measured_types():
             pooled_rt.extend(self.responses.get(qtype, []))
             pooled_pt.extend(self.processing.get(qtype, []))
             rejected += (self.broker_rejections.get(qtype, 0)

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
 
 from ..core.context import HostContext
 from ..core.policy import AdmissionPolicy, QueueView
-from ..core.types import AdmissionResult, Query, QueryPool
+from ..core.types import AdmissionResult, Query
 from ..exceptions import ConfigurationError
 from .report import ServerMetrics
 from .simulator import Simulator
@@ -83,13 +83,6 @@ class SimulatedServer:
         start.
     host_label:
         This host's name for fault targeting and telemetry attribution.
-    query_pool:
-        Optional :class:`~repro.core.types.QueryPool`.  When supplied, the
-        host releases each query back to the pool at its terminal point
-        (rejection, in-queue expiration, or completion) so the workload
-        driver can recycle the objects.  Only enable pooling when no hook
-        retains queries past those points (the stock metrics and policies
-        do not; a decision hook or telemetry sink might).
     """
 
     def __init__(self, sim: Simulator, parallelism: int,
@@ -100,8 +93,7 @@ class SimulatedServer:
                  priority_fn: Optional[PriorityFn] = None,
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None,
-                 host_label: str = "sim",
-                 query_pool: Optional["QueryPool"] = None) -> None:
+                 host_label: str = "sim") -> None:
         if parallelism < 1:
             raise ConfigurationError(
                 f"parallelism must be >= 1, got {parallelism}")
@@ -118,7 +110,6 @@ class SimulatedServer:
         self._telemetry = telemetry
         self._faults = fault_injector
         self._host = host_label
-        self._pool = query_pool
         # Deferred registry updates for the Point-2/3 histograms (waits,
         # processing, response): buffered per drain and flushed through
         # ``MetricsRegistry.add_many`` whenever all engines go idle or the
@@ -230,8 +221,6 @@ class SimulatedServer:
                                         policy=self.policy)
         if not result.accepted:
             self.metrics.record_rejection(query, result)
-            if self._pool is not None:
-                self._pool.release(query)
             return
         query.enqueued_at = now
         # Sample the service demand once and stamp it on the query; dispatch
@@ -308,8 +297,6 @@ class SimulatedServer:
                 self.metrics.record_expiration(query, wasted_work=0.0)
                 if self._telemetry is not None:
                     self._telemetry.on_expired(query, now=now)
-                if self._pool is not None:
-                    self._pool.release(query)
                 continue
             query.dequeued_at = now
             self.queue_view.on_dequeue(query.qtype)
@@ -371,8 +358,6 @@ class SimulatedServer:
                                           defer=self._tele_batch)
         self._account_busy()
         self._idle += 1
-        if self._pool is not None:
-            self._pool.release(query)
         self._dispatch()
         batch = self._tele_batch
         if batch is not None and (self._idle == self.parallelism

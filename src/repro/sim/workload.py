@@ -20,88 +20,14 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core._compat import numpy as _np
-from ..core.types import Query, QueryPool
+from ..core.types import Query
 from ..exceptions import ConfigurationError
 
 #: z-score of the 90th percentile of the standard normal.
 _Z90 = 1.2815515655446004
-
-#: CPython's ``random.NV_MAGICCONST`` — the Kinderman-Monahan constant its
-#: ``normalvariate`` rejection loop uses.  Recomputed here (same formula)
-#: so the chunked generator's inlined loop is bit-identical to the
-#: library's.
-_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
-
-#: Tri-state probe result: does this numpy build reproduce CPython's
-#: ``random.random()`` stream exactly via MT19937 state transplant?
-#: ``None`` until first use; see :func:`_numpy_mirror_ok`.
-_NUMPY_MIRROR_OK: Optional[bool] = None
-
-
-#: Reused legacy-RandomState shell for state transplants (its own seed is
-#: irrelevant — every use overwrites the full generator state).
-_RS_CACHE: List[object] = []
-
-
-def _numpy_uniform_block(rng: random.Random, n: int) -> List[float]:
-    """Draw ``n`` uniforms from ``rng`` through a numpy MT19937 mirror.
-
-    CPython's ``random.random()`` and numpy's legacy ``RandomState`` both
-    run the reference MT19937 and build each double from two outputs as
-    ``(a >> 5) * 2**26 + (b >> 6)) / 2**53``, so transplanting the 624-word
-    state produces the *identical* float stream.  The generator state is
-    copied in, the block is drawn vectorized, and the advanced state is
-    copied back — ``rng`` ends up exactly where ``n`` scalar
-    ``rng.random()`` calls would have left it.  :func:`_numpy_mirror_ok`
-    verifies this equivalence empirically once per process before the
-    path is ever trusted.
-    """
-    state = rng.getstate()
-    internal = state[1]
-    if _RS_CACHE:
-        rs = _RS_CACHE[0]
-    else:
-        rs = _np.random.RandomState()
-        _RS_CACHE.append(rs)
-    rs.set_state(("MT19937",
-                  _np.asarray(internal[:624], dtype=_np.uint32),
-                  internal[624]))
-    values: List[float] = rs.random_sample(n).tolist()
-    advanced = rs.get_state()
-    rng.setstate((state[0],
-                  tuple(advanced[1].tolist()) + (int(advanced[2]),),
-                  state[2]))
-    return values
-
-
-def _numpy_mirror_ok() -> bool:
-    """Probe (once per process) that the numpy mirror is bit-exact here.
-
-    Checked empirically rather than assumed: a numpy built against a
-    non-reference MT19937 or a different double-construction would
-    silently corrupt seeded traces.  On any mismatch — or with numpy
-    absent/disabled — the chunked generator falls back to scalar
-    ``rng.random()`` block draws, which are trivially identical.
-    """
-    global _NUMPY_MIRROR_OK
-    if _np is None:
-        return False
-    if _NUMPY_MIRROR_OK is None:
-        try:
-            probe = random.Random(987654321)
-            ref = random.Random()
-            ref.setstate(probe.getstate())
-            mirrored = _numpy_uniform_block(probe, 331)
-            direct = [ref.random() for _ in range(331)]
-            _NUMPY_MIRROR_OK = (mirrored == direct
-                                and probe.getstate() == ref.getstate())
-        except Exception:  # pragma: no cover - exotic numpy builds only
-            _NUMPY_MIRROR_OK = False
-    return _NUMPY_MIRROR_OK
 
 
 class QueryTypeSpec:
@@ -277,115 +203,22 @@ class ArrivalSchedule:
                 yield Query(qtype=spec.name, arrival_time=now,
                             payload=spec.sample(rng))
 
-    def iter_chunks(self, chunk_size: int = 1024,
-                    pool: Optional[QueryPool] = None
-                    ) -> Iterator[List[Query]]:
-        """Yield the query stream in pre-generated chunks.
-
-        Bit-identical to :meth:`__iter__`: the per-query RNG draw order
-        (inter-arrival gap, type pick, lognormal demand with its
-        variable-length rejection loop) is preserved exactly — only the
-        *uniform source* underneath is block-buffered, with the library
-        calls (``expovariate``, ``sample_type``, ``lognormvariate``)
-        inlined on top of it.  When numpy is available *and* its MT19937
-        mirror passes the one-time bit-exactness probe, uniform blocks are
-        drawn vectorized via state transplant; otherwise they come from
-        scalar ``rng.random()`` calls.  Either way the generator consumes
-        the same stream in the same order, so seeded traces match the
-        per-query path byte for byte (``tests/test_event_engine.py``).
+    def iter_chunks(self, chunk_size: int = 1024) -> Iterator[List[Query]]:
+        """Yield the :meth:`__iter__` stream regrouped into lists.
 
         Each chunk holds a whole number of bursts (``chunk_size`` rounded
         down to a burst multiple, minimum one burst), so burst groups
-        never straddle chunks.  With ``pool`` supplied, queries are
-        acquired from it instead of constructed; the consumer owns their
-        release.
+        never straddle chunks.  ``run_simulation`` takes its arrivals this
+        way rather than one ``next()`` per arrival; what that buys is
+        measured in ``docs/performance.md``.
         """
         if chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}")
-        rng = random.Random(self.seed)
-        mix = self.mix
-        cumulative = mix._cumulative
-        types = mix.types
-        last_type = len(types) - 1
-        names = [spec.name for spec in types]
-        mus = [spec.mu for spec in types]
-        sigmas = [spec.sigma for spec in types]
-        # Zero-variance types draw no demand uniform at all.
-        fixed = [math.exp(spec.mu) if spec.sigma == 0.0 else None
-                 for spec in types]
-        burst = self.burst
-        gap_rate = self.rate_qps / burst
-        bursts_per_chunk = max(1, chunk_size // burst)
-        block = max(4096, chunk_size * 2)
-        if _numpy_mirror_ok():
-            def draw_block(n: int = block) -> List[float]:
-                return _numpy_uniform_block(rng, n)
-        else:
-            def draw_block(n: int = block,
-                           _random: Callable[[], float] = rng.random
-                           ) -> List[float]:
-                return [_random() for _ in range(n)]
-        log = math.log
-        exp = math.exp
-        bisect = bisect_right
-        nv = _NV_MAGICCONST
-        acquire = pool.acquire if pool is not None else None
-        now = self.start
-        buf = draw_block()
-        nbuf = len(buf)
-        pos = 0
+        per_chunk = max(1, chunk_size // self.burst) * self.burst
+        stream = iter(self)
         while True:
-            chunk: List[Query] = []
-            append = chunk.append
-            for _ in range(bursts_per_chunk):
-                if pos == nbuf:
-                    buf = draw_block()
-                    nbuf = len(buf)
-                    pos = 0
-                # rng.expovariate(gap_rate), inlined.
-                now += -log(1.0 - buf[pos]) / gap_rate
-                pos += 1
-                for _ in range(burst):
-                    if pos == nbuf:
-                        buf = draw_block()
-                        nbuf = len(buf)
-                        pos = 0
-                    # mix.sample_type(rng), inlined.
-                    idx = bisect(cumulative, buf[pos])
-                    pos += 1
-                    if idx > last_type:
-                        idx = last_type
-                    demand = fixed[idx]
-                    if demand is None:
-                        # rng.lognormvariate(mu, sigma), inlined: exp of
-                        # the Kinderman-Monahan normalvariate rejection
-                        # loop, in CPython's exact float-op order.
-                        mu = mus[idx]
-                        sigma = sigmas[idx]
-                        while True:
-                            if pos == nbuf:
-                                buf = draw_block()
-                                nbuf = len(buf)
-                                pos = 0
-                            u1 = buf[pos]
-                            pos += 1
-                            if pos == nbuf:
-                                buf = draw_block()
-                                nbuf = len(buf)
-                                pos = 0
-                            u2 = 1.0 - buf[pos]
-                            pos += 1
-                            z = nv * (u1 - 0.5) / u2
-                            if z * z / 4.0 <= -log(u2):
-                                break
-                        demand = exp(mu + z * sigma)
-                    if acquire is not None:
-                        append(acquire(names[idx], now, payload=demand))
-                    else:
-                        append(Query(qtype=names[idx], arrival_time=now,
-                                     payload=demand))
-            yield chunk
+            yield list(islice(stream, per_chunk))
 
 
 def service_time_of(query: Query) -> float:

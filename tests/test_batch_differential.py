@@ -47,6 +47,56 @@ def _bouncer_factory(**config):
     return make
 
 
+def _simulate(policy_factory, *, batched, burst, num_queries,
+              warmup_queries, seed, **host_kwargs):
+    """A bursty Table-1 run at 4000 qps, either through ``run_simulation``
+    (each burst one ``offer_many`` / ``decide_many``) or, as the reference,
+    the same bursts at the same instants with one
+    ``SimulatedServer.offer`` (one ``decide``) per query."""
+    import itertools
+    import types
+
+    from repro.bench.experiments import simulation_mix
+    from repro.sim import (ArrivalSchedule, SimulatedServer, Simulator,
+                           run_simulation)
+
+    if batched:
+        return run_simulation(
+            simulation_mix(), policy_factory, rate_qps=4000.0,
+            num_queries=num_queries, parallelism=100,
+            warmup_queries=warmup_queries, seed=seed, burst=burst,
+            attainment_threshold=0.05, **host_kwargs)
+    sim = Simulator()
+    server = SimulatedServer(sim, 100, policy_factory, **host_kwargs)
+    arrivals = iter(ArrivalSchedule(simulation_mix(), 4000.0, seed=seed,
+                                    burst=burst))
+    total = warmup_queries + num_queries
+    offered = 0
+
+    def arrive(queries):
+        nonlocal offered
+        for query in queries:
+            if offered == warmup_queries:
+                server.reset_measurement()
+            server.offer(query)
+            offered += 1
+        if offered < total:
+            schedule_next()
+
+    def schedule_next():
+        queries = list(itertools.islice(arrivals,
+                                        min(burst, total - offered)))
+        sim._schedule_call(queries[0].arrival_time, arrive, queries)
+
+    schedule_next()
+    sim.run()
+    server.flush_telemetry()
+    return types.SimpleNamespace(
+        attainment=server.metrics.attainment(0.05),
+        overall=server.metrics.build_overall_stats(),
+        per_type=server.metrics.build_type_stats())
+
+
 #: Every policy held to the batch contract.  Bouncer's fast path carries
 #: ``debug_check`` so it additionally self-verifies Eq. 2 per decision;
 #: policies with internal randomness get fixed seeds so the scalar and
@@ -279,17 +329,14 @@ class TestFig06BatchArm:
     simulation run must be bit-identical to the seed scalar run."""
 
     def _run(self, burst, batched, fast_path):
-        from repro.bench.experiments import make_bouncer, simulation_mix
-        from repro.sim.driver import run_simulation
+        from repro.bench.experiments import make_bouncer
 
         seq = []
         overrides = (dict(fast_path=True, debug_check=True) if fast_path
                      else dict(fast_path=False))
-        report = run_simulation(
-            simulation_mix(), make_bouncer(**overrides), rate_qps=4000.0,
-            num_queries=2500, parallelism=100, warmup_queries=1000,
-            seed=11, burst=burst, batched_admission=batched,
-            attainment_threshold=0.05,
+        report = _simulate(
+            make_bouncer(**overrides), batched=batched, burst=burst,
+            num_queries=2500, warmup_queries=1000, seed=11,
             on_decision=lambda now, q, r: seq.append(
                 (now, q.qtype, r.accepted,
                  tuple(sorted(r.estimates.items())))))
@@ -392,20 +439,17 @@ class TestSpansOnBatchDifferential:
     def _run(self, batched):
         import json
 
-        from repro.bench.experiments import make_bouncer, simulation_mix
+        from repro.bench.experiments import make_bouncer
         from repro.faults import FaultInjector, FaultPlan
-        from repro.sim.driver import run_simulation
         from repro.telemetry import SpanRecorder, Telemetry
 
         recorder = SpanRecorder(capacity=100_000, sample_rate=1.0)
         telemetry = Telemetry(spans=recorder)
         # Attached but never armed: all hooks are inert no-ops.
         injector = FaultInjector(FaultPlan(name="idle", seed=5))
-        report = run_simulation(
-            simulation_mix(), make_bouncer(), rate_qps=4000.0,
-            num_queries=1500, parallelism=100, warmup_queries=500,
-            seed=23, burst=4, batched_admission=batched,
-            telemetry=telemetry, attainment_threshold=0.05)
+        report = _simulate(
+            make_bouncer(), batched=batched, burst=4, num_queries=1500,
+            warmup_queries=500, seed=23, telemetry=telemetry)
         spans = []
         # Global counters (query ids, trace/span ids) differ between two
         # runs in one process; remap them to first-seen ordinals so only

@@ -129,6 +129,25 @@ class TestClusterExecution:
                                    **kwargs)
         assert a.overall.response == b.overall.response
 
+    def test_report_does_not_follow_string_hash_order(self):
+        # Pooling types in set order made the overall means (a float sum)
+        # and the per-type key order differ between processes with
+        # different PYTHONHASHSEEDs.
+        from repro._stats import mean
+        from repro.liquid.cluster_sim import ClusterMetrics
+
+        metrics = ClusterMetrics()
+        names = [f"QT{i}" for i in range(20)]
+        for i, name in enumerate(names):
+            metrics.responses[name] = [0.1 / (i + 3), 0.7 / (i + 7)]
+            metrics.processing[name] = [0.1 / (i + 3)]
+        assert list(metrics.build_type_stats()) == sorted(names)
+        in_sorted_order = [value for name in sorted(names)
+                           for value in metrics.responses[name]]
+        # repro: allow=no-simtime-float-eq (bit-identity: same summation)
+        assert (metrics.build_overall_stats().response_mean
+                == mean(in_sorted_order))
+
     def test_broker_rejections_counted(self):
         report = run_cluster_simulation(
             tiny_config(), lambda ctx: AlwaysRejectPolicy(),

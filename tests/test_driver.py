@@ -1,10 +1,15 @@
 """Tests for the end-to-end simulation driver (§5.3 methodology)."""
 
-import pytest
+import itertools
 
-from repro.core import AlwaysAcceptPolicy
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import AlwaysAcceptPolicy, MaxQueueLengthPolicy
 from repro.exceptions import ConfigurationError
-from repro.sim import QueryTypeSpec, WorkloadMix, run_simulation
+from repro.sim import (ArrivalSchedule, QueryTypeSpec, SimulatedServer,
+                       Simulator, WorkloadMix, run_simulation)
 
 
 def small_mix():
@@ -107,3 +112,82 @@ class TestRunSimulation:
         assert set(report.per_type) == {"fast", "slow"}
         ratio = report.per_type["fast"].received / 1000
         assert ratio == pytest.approx(0.7, abs=0.05)
+
+
+class TestConservation:
+    """No offered query is lost or counted twice, whatever the burst size
+    and wherever the warm-up boundary falls inside a burst."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_queries=st.integers(min_value=1, max_value=300),
+           warmup=st.integers(min_value=0, max_value=150),
+           burst=st.sampled_from([1, 2, 3, 8, 64, 500]),
+           load=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           seed=st.integers(min_value=0, max_value=1000))
+    def test_report_accounts_for_every_offered_query(
+            self, num_queries, warmup, burst, load, seed):
+        mix = small_mix()
+        decisions = []
+        report = run_simulation(
+            mix, lambda ctx: MaxQueueLengthPolicy(ctx, limit=3),
+            rate_qps=load * mix.full_load_qps(4), num_queries=num_queries,
+            warmup_queries=warmup, parallelism=4, seed=seed, burst=burst,
+            on_decision=lambda now, q, r: decisions.append(
+                (q.window, q.qtype, r.accepted)))
+        # Every arrival is decided exactly once, and the measurement window
+        # opens exactly between the last warm-up query and the first
+        # measured one, even in the middle of a burst.
+        assert [window for window, _, _ in decisions] == \
+            [0] * warmup + [1] * num_queries
+        measured = decisions[warmup:]
+        overall = report.overall
+        assert report.offered == num_queries
+        assert overall.rejected == sum(not ok for _, _, ok in measured)
+        assert (overall.completed + overall.expired + overall.errors
+                == sum(ok for _, _, ok in measured))
+        for qtype, stats in report.per_type.items():
+            mine = [ok for _, name, ok in measured if name == qtype]
+            assert stats.received == len(mine)
+            assert stats.rejected == mine.count(False)
+        for count in ("completed", "rejected", "expired", "errors"):
+            assert sum(getattr(stats, count)
+                       for stats in report.per_type.values()
+                       ) == getattr(overall, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bursts=st.lists(st.integers(min_value=1, max_value=12),
+                           min_size=1, max_size=30),
+           slack=st.sampled_from([None, 0.02, 0.002]),
+           limit=st.integers(min_value=1, max_value=20),
+           seed=st.integers(min_value=0, max_value=1000))
+    def test_host_and_schedule_drain_to_empty(self, bursts, slack, limit,
+                                              seed):
+        sim = Simulator()
+        server = SimulatedServer(
+            sim, 2, lambda ctx: MaxQueueLengthPolicy(ctx, limit=limit))
+        arrivals = iter(ArrivalSchedule(small_mix(), 1000.0, seed=seed))
+        results = []
+
+        def arrive(size):
+            queries = list(itertools.islice(arrivals, size))
+            if slack is not None:  # tight enough that some expire queued
+                for query in queries:
+                    query.deadline = sim.now + slack
+            if size == 1:
+                results.append(server.offer(queries[0]))
+            else:
+                results.extend(server.offer_many(queries))
+
+        for index, size in enumerate(bursts):
+            sim.schedule_at(0.002 * index, lambda size=size: arrive(size))
+        sim.run()
+        accepted = sum(result.accepted for result in results)
+        metrics = server.metrics
+        assert len(results) == sum(bursts)
+        assert metrics.rejected == len(results) - accepted
+        assert metrics.admitted == accepted
+        assert metrics.completed + metrics.expired + metrics.errors == accepted
+        assert sim.pending == 0
+        assert server.queue_view.length() == 0
+        assert server.queue_length == 0
+        assert server.in_flight == 0

@@ -47,6 +47,37 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
 
+    def test_nan_timestamp_is_refused_at_scheduling_time(self):
+        # NaN compares false both ways, so ``when < now`` let it through
+        # and the schedule then never drained.  These assert the refusal
+        # and never call run().
+        sim = Simulator(start=5.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_after(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_infinite_timestamp_stays_schedulable(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(float("inf"), lambda: fired.append("never"))
+        sim.schedule_after(float("inf"), lambda: fired.append("never"))
+        sim.schedule_at(1.0, lambda: fired.append("soon"))
+        assert sim.step()
+        assert fired == ["soon"]
+        assert sim.pending == 2
+
+    def test_run_until_returns_with_only_infinite_events_left(self):
+        # The calendar queue spun here too: with nothing but +inf pending
+        # its window advance anchored on inf and never moved an event.
+        sim = Simulator()
+        sim.schedule_at(float("inf"), lambda: None)
+        sim.run(until=10.0)
+        # repro: allow=no-simtime-float-eq (until= pins the exact bound)
+        assert sim.now == 10.0
+        assert sim.pending == 1
+
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
         fired = []
