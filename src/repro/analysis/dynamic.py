@@ -255,11 +255,12 @@ def _loop_workload(seed: int) -> int:
                 types, general = build_publication(round_index, seed)
                 board.publish(types, general)
                 qtypes = rng.choices(names, k=_LOOP_BATCH)
-                frame = ("d 0 " + ",".join(qtypes) + "\n").encode("ascii")
+                seq = round_index + 1
+                frame = (f"d {seq} " + ",".join(qtypes) + "\n").encode("ascii")
                 stream.write(frame)
                 stream.flush()
                 line = stream.readline()
-                if not line.startswith(b"r "):
+                if not line.startswith(b"r %d " % seq):
                     raise RuntimeError(
                         f"monitored worker returned a bad frame: {line!r}")
                 decisions += len(line.rsplit(b" ", 1)[1].rstrip(b"\n"))

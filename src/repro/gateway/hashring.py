@@ -26,6 +26,11 @@ from ..exceptions import ConfigurationError
 #: 8-byte points).
 DEFAULT_REPLICAS = 64
 
+#: Most query types one router remembers the shard of.  A closed type
+#: table fits many times over; a stream of unique strings stops being
+#: stored here and is hashed per call, so the router never grows past it.
+ROUTE_MEMO_CAP = 4096
+
 
 def _point(key: str) -> int:
     """Deterministic 64-bit ring position for ``key``."""
@@ -58,13 +63,17 @@ class ShardRouter:
         points.sort()
         self._points = [point for point, _ in points]
         self._owners = [shard for _, shard in points]
+        self._memo: Dict[str, int] = {}
 
     def shard_for(self, qtype: str) -> int:
         """Shard owning ``qtype`` (first virtual node clockwise)."""
-        idx = bisect_right(self._points, _point(qtype))
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
+        shard = self._memo.get(qtype)
+        if shard is None:
+            idx = bisect_right(self._points, _point(qtype))
+            shard = self._owners[idx if idx < len(self._points) else 0]
+            if len(self._memo) < ROUTE_MEMO_CAP:
+                self._memo[qtype] = shard
+        return shard
 
     def assignment(self, qtypes: Sequence[str]) -> Dict[int, List[str]]:
         """Group ``qtypes`` by owning shard (order preserved per shard)."""

@@ -22,14 +22,17 @@ worker is asked to flush its decision log and exit (``x``), given
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
+import re
 import socket
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Set)
 
 from ..core.clock import MonotonicClock
 from ..core.histogram import BucketLayout, HistogramSnapshot
@@ -39,6 +42,12 @@ from ..telemetry.shards import record_shard_stats
 from .hashring import ShardRouter
 from .snapshot import BOARD_DEFAULT_SLOTS, SnapshotBoard
 from .worker import PolicySpec, WorkerSpec, worker_main
+
+#: What may travel as one query type inside a ``d`` frame: printable
+#: ASCII with no comma (the separator) and no space or control character
+#: (a newline would start a second frame).
+_WIRE_SAFE = re.compile(r"[!-+\--~]+").fullmatch
+_ACCEPT = ord("1")
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,13 @@ class GatewayServer:
         self._board: Optional[SnapshotBoard] = None
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._conns: Dict[int, socket.socket] = {}
-        self._files: Dict[int, object] = {}
+        self._files: Dict[int, io.BufferedRWPair] = {}
         self._io_lock = threading.Lock()
+        #: Per-connection ``d``-frame counter (the ``<seq>`` a reply must
+        #: echo) and the shards whose connection lost step or died; both
+        #: guarded by ``_io_lock``.
+        self._seqs = [0] * self.shards
+        self._broken: Set[int] = set()
         self._started = False
         self._stopped = False
         self._owns_dir = False
@@ -179,38 +193,70 @@ class GatewayServer:
 
     # -- client API ------------------------------------------------------
     def decide_many(self, qtypes: Sequence[str]) -> List[bool]:
-        """Route one burst through the owning shards; results in order."""
+        """Route one burst through the owning shards; results in order.
+
+        Every owning shard's frame is written before any reply is read,
+        so the workers decide concurrently and the burst costs one wait.
+        A shard whose exchange fails (EOF, ``OSError``, a reply that is
+        not ``r <seq> <bits>`` for the sequence number sent and the
+        queries owned) is marked broken once the other replies of this
+        burst have been read, and the burst raises; later bursts that
+        need a broken shard raise before writing to anyone.
+        """
         if not self._started or self._stopped:
             raise ShuttingDownError("gateway is not accepting queries")
         if not qtypes:
             return []
-        grouped = self.router.assignment(qtypes)
-        bits_by_shard: Dict[int, str] = {}
+        if not all(map(_WIRE_SAFE, qtypes)):
+            raise ConfigurationError(
+                "query types must be non-empty printable ASCII without "
+                "',' or whitespace, got "
+                f"{next(q for q in qtypes if not _WIRE_SAFE(q))!r}")
+        owners = list(map(self.router.shard_for, qtypes))
+        grouped: Dict[int, List[str]] = {}
+        for shard, qtype in zip(owners, qtypes):
+            grouped.setdefault(shard, []).append(qtype)
+        heads: Dict[int, bytes] = {}
+        replies: Dict[int, Iterator[int]] = {}
+        failed: Dict[int, str] = {}
         with self._io_lock:
+            if not self._broken.isdisjoint(grouped):
+                raise ShuttingDownError(
+                    "gateway worker(s) "
+                    f"{sorted(self._broken.intersection(grouped))} are "
+                    "broken; nothing was sent")
             for shard, owned in grouped.items():
-                bits_by_shard[shard] = self._request_decisions(shard, owned)
-        cursors = {shard: 0 for shard in grouped}
-        out: List[bool] = []
-        for qtype in qtypes:
-            shard = self.router.shard_for(qtype)
-            index = cursors[shard]
-            cursors[shard] = index + 1
-            out.append(bits_by_shard[shard][index] == "1")
-        return out
-
-    def _request_decisions(self, shard: int, qtypes: Sequence[str]) -> str:
-        stream = self._files[shard]
-        frame = ("d 0 " + ",".join(qtypes) + "\n").encode("ascii")
-        stream.write(frame)                      # type: ignore[attr-defined]
-        stream.flush()                           # type: ignore[attr-defined]
-        line = stream.readline()                 # type: ignore[attr-defined]
-        if not line.startswith(b"r "):
-            raise ShuttingDownError(
-                f"gateway worker {shard} returned a bad frame: {line!r}")
-        return line.rsplit(b" ", 1)[1].rstrip(b"\n").decode("ascii")
+                seq = self._seqs[shard] = self._seqs[shard] + 1
+                stream = self._files[shard]
+                try:
+                    stream.write(b"d %d %s\n" % (
+                        seq, ",".join(owned).encode("ascii")))
+                    stream.flush()
+                    heads[shard] = b"r %d " % seq
+                except OSError as exc:
+                    failed[shard] = repr(exc)
+            for shard, head in heads.items():
+                try:
+                    line = self._files[shard].readline()
+                except OSError as exc:
+                    failed[shard] = repr(exc)
+                    continue
+                bits = line[len(head):-1]
+                if (line.startswith(head) and line.endswith(b"\n")
+                        and len(bits) == len(grouped[shard])):
+                    replies[shard] = iter(bits)
+                else:
+                    failed[shard] = f"bad reply {line[:80]!r}"
+            if failed:
+                self._broken.update(failed)
+                raise ShuttingDownError(
+                    f"gateway worker(s) {sorted(failed)} failed mid-burst "
+                    f"and are marked broken: {failed}")
+        return [next(replies[shard]) == _ACCEPT for shard in owners]
 
     def collect_stats(self) -> Dict[int, WorkerStats]:
-        """Pull counters from every worker over the control channel.
+        """Pull counters from every worker not marked broken, over the
+        control channel.
 
         Also lands the per-shard gauges in :attr:`registry` when one was
         provided (see :mod:`repro.telemetry.shards`).
@@ -219,11 +265,11 @@ class GatewayServer:
             raise ShuttingDownError("gateway is not running")
         raw: Dict[int, Dict[str, object]] = {}
         with self._io_lock:
-            for shard in range(self.shards):
+            for shard in sorted(set(range(self.shards)) - self._broken):
                 stream = self._files[shard]
-                stream.write(b"s\n")             # type: ignore[attr-defined]
-                stream.flush()                   # type: ignore[attr-defined]
-                line = stream.readline()         # type: ignore[attr-defined]
+                stream.write(b"s\n")
+                stream.flush()
+                line = stream.readline()
                 if not line.startswith(b"S "):
                     raise ShuttingDownError(
                         f"gateway worker {shard} returned a bad stats "
@@ -263,9 +309,9 @@ class GatewayServer:
                 if stream is None:
                     continue
                 try:
-                    stream.write(b"x\n")         # type: ignore[attr-defined]
-                    stream.flush()               # type: ignore[attr-defined]
-                    stream.readline()            # type: ignore[attr-defined]
+                    stream.write(b"x\n")
+                    stream.flush()
+                    stream.readline()
                 except OSError:
                     pass                 # worker already gone; join below
         deadline = self._clock.now() + timeout
@@ -277,7 +323,7 @@ class GatewayServer:
                 proc.join(timeout=5.0)
         for shard, stream in self._files.items():
             try:
-                stream.close()                   # type: ignore[attr-defined]
+                stream.close()
             except OSError:  # pragma: no cover - best-effort close
                 pass
         for conn in self._conns.values():
