@@ -13,16 +13,13 @@ model, and the threaded runtime) rest on invariants no generic tool checks:
   and ``runtime`` must be acquired via ``with`` and in a consistent global
   order.
 
-The async/multi-process era (PR 8's gateway) added three substrates with
-invariants of their own — asyncio loops that must never block, forked
-worker processes whose payloads must be picklable and handle-free, and a
-shared-memory seqlock whose even-odd protocol is the only thing standing
-between readers and torn snapshots.  The ``async-no-blocking``,
-``no-orphan-task``, ``fork-safety``, ``shm-lifecycle`` and
-``seqlock-discipline`` rules enforce those statically;
-:mod:`repro.analysis.loopwatch` times every event-loop callback against a
-stall budget, and :mod:`repro.analysis.lockcheck` instruments
-``threading`` *and* ``asyncio`` locks into one lock-order graph.
+The multi-process gateway added two substrates with invariants of their
+own — forked worker processes whose payloads must be picklable and
+handle-free, and a shared-memory seqlock whose even-odd protocol is the
+only thing standing between readers and torn snapshots.  The
+``fork-safety``, ``shm-lifecycle`` and ``seqlock-discipline`` rules
+enforce those statically; :mod:`repro.analysis.lockcheck` instruments
+``threading`` locks into one lock-order graph.
 
 :mod:`repro.analysis.linter` is an AST lint framework whose project-specific
 rules (:mod:`repro.analysis.rules`) enforce the static half;
@@ -32,35 +29,26 @@ rules (:mod:`repro.analysis.rules`) enforce the static half;
 from .linter import (LintConfig, LintRule, Violation, available_rules,
                      filter_baseline, lint_paths, lint_source, load_baseline,
                      register_rule, render_json, render_text, write_baseline)
-from .lockcheck import (CheckedAsyncCondition, CheckedAsyncLock, CheckedLock,
-                        CheckedRLock, LockCheckRegistry, LockOrderViolation,
-                        current_registry, install, uninstall)
-from .loopwatch import (DEFAULT_BUDGET, LoopWatch, StallEvent, current_watch,
-                        monitored_loop)
+from .lockcheck import (CheckedLock, CheckedRLock, LockCheckRegistry,
+                        LockOrderViolation, current_registry, install,
+                        uninstall)
 from . import rules as _rules  # noqa: F401  (imports register the rules)
 
 __all__ = [
-    "CheckedAsyncCondition",
-    "CheckedAsyncLock",
     "CheckedLock",
     "CheckedRLock",
-    "DEFAULT_BUDGET",
     "LintConfig",
     "LintRule",
     "LockCheckRegistry",
     "LockOrderViolation",
-    "LoopWatch",
-    "StallEvent",
     "Violation",
     "available_rules",
     "current_registry",
-    "current_watch",
     "filter_baseline",
     "install",
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "monitored_loop",
     "register_rule",
     "render_json",
     "render_text",

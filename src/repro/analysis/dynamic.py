@@ -1,18 +1,13 @@
 """The ``repro lint --dynamic`` workload: concurrency checks at runtime.
 
-Static rules cannot see runtime acquisition order, event-loop stalls or
-cross-process races, so the dynamic check drives the real components the
-way the differential tests do, fully instrumented:
+Static rules cannot see runtime acquisition order or cross-process
+races, so the dynamic check drives the real components the way the
+differential tests do, fully instrumented:
 
-* **lockcheck** — the sim + threaded-runtime workload from PR 4, plus the
-  asyncio side: every ``threading`` *and* ``asyncio`` lock constructed
-  from repro code lands in one global lock graph; any cycle is a
-  potential deadlock, reported with both acquisition stacks.
-* **loopwatch** — a single-shard gateway worker is run *in this process*
-  (its asyncio loop on a side thread) under a
-  :class:`~repro.analysis.loopwatch.LoopWatch` while a decide burst and
-  snapshot publishes drive it; any loop callback over budget fails the
-  run.
+* **lockcheck** — the sim + threaded-runtime workload: every
+  ``threading`` lock constructed from repro code lands in one global
+  lock graph; any cycle is a potential deadlock, reported with both
+  acquisition stacks.
 * **gateway** — a two-shard :class:`~repro.gateway.GatewayServer` fleet
   (real ``spawn`` processes) serves interleaved publish/decide rounds,
   exercising the fork boundary and the shared-memory board end to end.
@@ -25,18 +20,13 @@ way the differential tests do, fully instrumented:
 
 from __future__ import annotations
 
-import os
 import random
-import shutil
-import socket
-import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.types import Query
 from .lockcheck import LockCheckRegistry, LockOrderViolation, install, uninstall
-from .loopwatch import LoopWatch, StallEvent
 
 #: Queries driven through each framework; small enough to finish in a
 #: couple of seconds, large enough to exercise every metric-point lock.
@@ -46,16 +36,6 @@ _RUNTIME_QUERIES = 300
 #: Publish/decide rounds against the spawned two-shard gateway fleet.
 _GATEWAY_ROUNDS = 8
 _GATEWAY_BATCH = 256
-
-#: Rounds and batch size for the in-process monitored-loop worker.
-_LOOP_ROUNDS = 6
-_LOOP_BATCH = 64
-
-#: Per-callback budget for the monitored loop, in seconds.  A healthy
-#: worker callback (decide batch of 64) runs in well under a millisecond;
-#: the generous budget keeps CI scheduler noise out of the signal while
-#: still catching any real blocking call by orders of magnitude.
-_LOOP_BUDGET = 0.25
 
 #: Reader/writer race harness defaults.
 _RACE_READS = 400
@@ -79,29 +59,21 @@ class DynamicCheckResult:
     """Everything ``repro lint --dynamic`` measured, one object."""
 
     registry: LockCheckRegistry
-    stalls: List[StallEvent] = field(default_factory=list)
     race: Optional[SeqlockRaceReport] = None
     #: Decisions served by the spawned gateway fleet (``None`` when the
     #: gateway leg was skipped).
     gateway_decisions: Optional[int] = None
-    #: Decisions served by the in-process monitored-loop worker.
-    loop_decisions: Optional[int] = None
-    loop_budget: float = _LOOP_BUDGET
 
     def problems(self) -> List[str]:
         """Human-readable failures; empty means the run is clean."""
         problems: List[str] = []
         for violation in self.registry.violations:
             problems.append(violation.format())
-        for stall in self.stalls:
-            problems.append(stall.format())
         if self.race is not None and self.race.torn:
             problems.append(
                 f"seqlock race: {self.race.torn} torn read(s) out of "
                 f"{self.race.reads} — the board published a view readers "
                 f"can observe half-written")
-        if self.loop_decisions == 0:
-            problems.append("monitored-loop worker served no decisions")
         if self.gateway_decisions == 0:
             problems.append("gateway fleet served no decisions")
         return problems
@@ -122,13 +94,6 @@ def run_dynamic_check(seed: int = 11,
     try:
         _sim_workload(seed)
         _runtime_workload(seed)
-        watch = LoopWatch(budget=_LOOP_BUDGET)
-        watch.install()
-        try:
-            result.loop_decisions = _loop_workload(seed)
-        finally:
-            watch.uninstall()
-        result.stalls = watch.stalls
         result.race = run_seqlock_race(seed)
         if gateway:
             result.gateway_decisions = _gateway_workload(seed)
@@ -201,79 +166,6 @@ def _gateway_workload(seed: int) -> int:
         server.collect_stats()
     finally:
         server.stop()
-    return decisions
-
-
-def _connect_with_retry(path: str, timeout: float = 30.0) -> socket.socket:
-    from ..core.clock import MonotonicClock
-
-    clock = MonotonicClock()
-    deadline = clock.now() + timeout
-    while True:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.connect(path)
-            return sock
-        except OSError:
-            sock.close()
-            if clock.now() > deadline:
-                raise
-            clock.sleep(0.02)
-
-
-def _loop_workload(seed: int) -> int:
-    """Drive a gateway worker's asyncio loop *in this process*.
-
-    The worker's event loop runs on a side thread so the installed
-    :class:`LoopWatch` times its callbacks; this thread plays the parent,
-    publishing snapshots and sending decide frames over the unix socket.
-    """
-    from ..bench.gateway_perf import (GATEWAY_TYPES, build_policy_spec,
-                                      build_publication)
-    from ..gateway.snapshot import SnapshotBoard
-    from ..gateway.worker import WorkerSpec, worker_main
-
-    rng = random.Random(seed + 1)
-    names = list(GATEWAY_TYPES)
-    tmpdir = tempfile.mkdtemp(prefix="repro-lint-loop-")
-    board = SnapshotBoard.create()
-    spec = WorkerSpec(
-        shard=0,
-        socket_path=os.path.join(tmpdir, "shard-0.sock"),
-        log_path=os.path.join(tmpdir, "decisions-0.log"),
-        board_name=board.name,
-        policy=build_policy_spec())
-    worker = threading.Thread(target=worker_main, args=(spec,),
-                              name="repro-lint-loop-worker", daemon=True)
-    worker.start()
-    decisions = 0
-    try:
-        conn = _connect_with_retry(spec.socket_path)
-        stream = conn.makefile("rwb")
-        try:
-            for round_index in range(_LOOP_ROUNDS):
-                types, general = build_publication(round_index, seed)
-                board.publish(types, general)
-                qtypes = rng.choices(names, k=_LOOP_BATCH)
-                seq = round_index + 1
-                frame = (f"d {seq} " + ",".join(qtypes) + "\n").encode("ascii")
-                stream.write(frame)
-                stream.flush()
-                line = stream.readline()
-                if not line.startswith(b"r %d " % seq):
-                    raise RuntimeError(
-                        f"monitored worker returned a bad frame: {line!r}")
-                decisions += len(line.rsplit(b" ", 1)[1].rstrip(b"\n"))
-            stream.write(b"x\n")
-            stream.flush()
-            stream.readline()
-        finally:
-            stream.close()
-            conn.close()
-    finally:
-        worker.join(timeout=10.0)
-        board.unlink()
-        shutil.rmtree(tmpdir, ignore_errors=True)
     return decisions
 
 
@@ -380,11 +272,7 @@ def render_dynamic_report(registry: LockCheckRegistry) -> str:
 def render_check_report(result: DynamicCheckResult) -> str:
     """Text summary for the CLI: one line per instrument, then failures."""
     race = result.race
-    lines = [render_dynamic_report(result.registry),
-             f"dynamic loopwatch: {len(result.stalls)} stall(s) over "
-             f"{result.loop_budget * 1e3:.0f} ms budget "
-             f"({result.loop_decisions if result.loop_decisions is not None else 0} "
-             f"decisions on the monitored loop)"]
+    lines = [render_dynamic_report(result.registry)]
     if race is not None:
         lines.append(f"seqlock race: {race.reads} coherent read(s), "
                      f"{race.generations} generation(s) observed, "

@@ -1,9 +1,10 @@
 """Dynamic lock-order checking: instrumented locks + a global lock graph.
 
 Static analysis can prove a lock is *held correctly* (see the
-``lock-discipline`` rule) but not that the ten ``threading`` locks across
+``lock-discipline`` rule) but not that the ``threading`` locks across
 ``telemetry``, ``runtime``, ``gateway`` and ``faults`` (``core`` has none:
-its host serializes) are acquired in a consistent global order.  This module checks that at runtime:
+its host serializes) are acquired in a consistent global order.  This
+module checks that at runtime:
 
 * :class:`CheckedLock` / :class:`CheckedRLock` wrap the real primitives and
   report every acquisition to a :class:`LockCheckRegistry`;
@@ -15,17 +16,9 @@ its host serializes) are acquired in a consistent global order.  This module che
   the process — and is recorded as a :class:`LockOrderViolation` carrying
   the stacks of *both* conflicting acquisitions.
 
-:class:`CheckedAsyncLock` / :class:`CheckedAsyncCondition` put
-``asyncio.Lock``/``Condition`` into the *same* graph: inside a running
-task the held stack is tracked per-task (coroutines multiplex one loop
-thread, so thread-locals would invent edges between independent tasks),
-and mixed async/thread cycles — the gateway's deadlock shape — are
-reported like any other.
-
-:func:`install` monkey-patches ``threading.Lock``/``threading.RLock``
-(and ``asyncio.Lock``/``Condition``) so that locks constructed *from
-repro code* are instrumented while stdlib machinery (futures, HTTP
-servers) keeps real primitives.  The pytest plugin
+:func:`install` monkey-patches ``threading.Lock``/``threading.RLock`` so
+that locks constructed *from repro code* are instrumented while stdlib
+machinery (futures, HTTP servers) keeps real primitives.  The pytest plugin
 (:mod:`repro.analysis.pytest_plugin`) installs it for the whole suite when
 ``REPRO_LOCKCHECK=1``; ``repro lint --dynamic`` installs it around a short
 sim + runtime workload.
@@ -36,28 +29,16 @@ interleaving still produces a report instead of hanging silently first.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 import traceback
-import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 # The real primitives, captured before install() can patch them.  Every
 # internal lock below uses these so the checker never instruments itself.
 _REAL_LOCK = threading.Lock
 _REAL_RLOCK = threading.RLock
-_REAL_ASYNC_LOCK = asyncio.Lock
-_REAL_ASYNC_CONDITION = asyncio.Condition
-
-
-def _current_task() -> Optional["asyncio.Task[Any]"]:
-    """The running asyncio task, or ``None`` outside an event loop."""
-    try:
-        return asyncio.current_task()
-    except RuntimeError:  # no running loop on this thread
-        return None
 
 #: Stack frames kept per recorded acquisition site.
 _STACK_LIMIT = 16
@@ -136,12 +117,6 @@ class LockCheckRegistry:
         self._graph: Dict[int, Dict[int, _Edge]] = {}
         self._names: Dict[int, str] = {}
         self._held = threading.local()
-        # Coroutines multiplex on one loop thread, so a thread-local held
-        # stack would invent hold-while-acquire edges between *independent*
-        # tasks.  Inside a task the held stack is per-task instead; the
-        # weak keying lets finished tasks drop their bookkeeping.
-        self._task_held: "weakref.WeakKeyDictionary[Any, List[int]]" = (
-            weakref.WeakKeyDictionary())
         self.raise_on_violation = raise_on_violation
         self.violations: List[LockOrderViolation] = []
 
@@ -151,14 +126,6 @@ class LockCheckRegistry:
             self._names[lock_id] = name
 
     def _held_stack(self) -> List[int]:
-        task = _current_task()
-        if task is not None:
-            with self._mutex:
-                task_stack = self._task_held.get(task)
-                if task_stack is None:
-                    task_stack = []
-                    self._task_held[task] = task_stack
-            return task_stack
         stack = getattr(self._held, "stack", None)
         if stack is None:
             stack = []
@@ -171,9 +138,7 @@ class LockCheckRegistry:
         if not held or lock_id in held:
             return  # nothing held, or a reentrant re-acquisition
         stack = None
-        task = _current_task()
-        thread = (task.get_name() if task is not None
-                  else threading.current_thread().name)
+        thread = threading.current_thread().name
         for source in dict.fromkeys(held):  # distinct, oldest first
             with self._mutex:
                 if lock_id in self._graph.get(source, {}):
@@ -250,7 +215,6 @@ class LockCheckRegistry:
         with self._mutex:
             self._graph.clear()
             self.violations.clear()
-            self._task_held = weakref.WeakKeyDictionary()
 
 
 class CheckedLock:
@@ -307,116 +271,6 @@ class CheckedRLock(CheckedLock):
         return bool(probe())
 
 
-class CheckedAsyncLock:
-    """Drop-in ``asyncio.Lock`` reporting acquisitions to the registry.
-
-    Async and thread locks share one lock graph: a coroutine holding an
-    asyncio lock while a worker thread takes the same ``threading.Lock``
-    pair in the opposite order is exactly the mixed-substrate deadlock
-    the gateway can hit, and it shows up here as an ordinary cycle.
-    """
-
-    def __init__(self, registry: Optional[LockCheckRegistry] = None,
-                 name: Optional[str] = None) -> None:
-        self._inner = _REAL_ASYNC_LOCK()
-        self._registry = (registry if registry is not None
-                          else current_registry())
-        self._name = name or _creation_site()
-        if self._registry is not None:
-            self._registry.register(id(self), self._name)
-
-    async def acquire(self) -> bool:
-        registry = self._registry
-        if registry is not None:
-            # Before the (potentially suspending) await, same as the
-            # thread locks: a real deadlock still yields a report.
-            registry.note_acquiring(id(self))
-        acquired = await self._inner.acquire()
-        if acquired and registry is not None:
-            registry.note_acquired(id(self))
-        return acquired
-
-    def release(self) -> None:
-        if self._registry is not None:
-            self._registry.note_released(id(self))
-        self._inner.release()
-
-    def locked(self) -> bool:
-        return bool(self._inner.locked())
-
-    async def __aenter__(self) -> None:
-        await self.acquire()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self._name}>"
-
-
-class CheckedAsyncCondition:
-    """Drop-in ``asyncio.Condition`` built on a :class:`CheckedAsyncLock`.
-
-    ``wait()`` releases the underlying lock while suspended, so the
-    registry's held stack is updated around it — otherwise every waiter
-    would appear to hold the lock across arbitrary awaits and the graph
-    would fill with phantom edges.
-    """
-
-    def __init__(self, lock: Optional[CheckedAsyncLock] = None,
-                 registry: Optional[LockCheckRegistry] = None,
-                 name: Optional[str] = None) -> None:
-        self._lock = (lock if lock is not None
-                      else CheckedAsyncLock(registry=registry,
-                                            name=name or _creation_site()))
-        self._inner = _REAL_ASYNC_CONDITION(self._lock._inner)
-
-    async def acquire(self) -> bool:
-        # repro: allow=lock-discipline (the wrapper IS the lock implementation; callers hold it via 'async with')
-        return await self._lock.acquire()
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
-    async def wait(self) -> bool:
-        registry = self._lock._registry
-        if registry is not None:
-            registry.note_released(id(self._lock))
-        try:
-            return await self._inner.wait()
-        finally:
-            # The real condition re-acquires the inner lock before wait()
-            # returns (or raises CancelledError), so the bookkeeping must
-            # mirror that on every path.
-            if registry is not None:
-                registry.note_acquired(id(self._lock))
-
-    async def wait_for(self, predicate: "Any") -> "Any":
-        result = predicate()
-        while not result:
-            await self.wait()
-            result = predicate()
-        return result
-
-    def notify(self, n: int = 1) -> None:
-        self._inner.notify(n)
-
-    def notify_all(self) -> None:
-        self._inner.notify_all()
-
-    async def __aenter__(self) -> None:
-        await self.acquire()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self._lock._name}>"
-
-
 # -- threading.Lock patching ---------------------------------------------
 
 _default_registry: Optional[LockCheckRegistry] = None
@@ -463,36 +317,16 @@ def install(scope_prefixes: Tuple[str, ...] = ("repro",),
             return CheckedRLock(active)
         return _REAL_RLOCK()
 
-    def _async_lock_factory(*args: object,
-                            **kwargs: object) -> Union[CheckedAsyncLock,
-                                                       object]:
-        # Arguments mean someone is using a legacy loop= form or a
-        # subclass contract we can't honour — hand back the real thing.
-        if not args and not kwargs and _caller_in_scope(scope_prefixes):
-            return CheckedAsyncLock(active)
-        return _REAL_ASYNC_LOCK(*args, **kwargs)  # type: ignore[arg-type]
-
-    def _async_condition_factory(
-            *args: object,
-            **kwargs: object) -> Union[CheckedAsyncCondition, object]:
-        if not args and not kwargs and _caller_in_scope(scope_prefixes):
-            return CheckedAsyncCondition(registry=active)
-        return _REAL_ASYNC_CONDITION(*args, **kwargs)  # type: ignore[arg-type]
-
     threading.Lock = _lock_factory  # type: ignore[assignment]
     threading.RLock = _rlock_factory  # type: ignore[assignment]
-    asyncio.Lock = _async_lock_factory  # type: ignore[assignment, misc]
-    asyncio.Condition = _async_condition_factory  # type: ignore[assignment, misc]
     _installed = True
     return active
 
 
 def uninstall() -> None:
-    """Restore the real lock factories (threading and asyncio)."""
+    """Restore the real lock factories."""
     global _default_registry, _installed
     threading.Lock = _REAL_LOCK  # type: ignore[assignment]
     threading.RLock = _REAL_RLOCK  # type: ignore[assignment]
-    asyncio.Lock = _REAL_ASYNC_LOCK  # type: ignore[misc]
-    asyncio.Condition = _REAL_ASYNC_CONDITION  # type: ignore[misc]
     _default_registry = None
     _installed = False

@@ -407,139 +407,12 @@ class NoSwallowedEngineErrorsRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# Concurrency-safety rules for the async / multi-process era (PR 9).
-# The gateway runs BouncerPolicy inside asyncio workers, forked processes
-# and a shared-memory seqlock; one blocking call in a coroutine or one torn
-# snapshot read silently destroys both the microsecond latency budget and
-# the bit-identical-replay guarantee.  These rules make those invariants
+# Concurrency-safety rules for the multi-process gateway.  It runs
+# BouncerPolicy in spawned worker processes over a shared-memory seqlock;
+# one unpicklable payload or one torn snapshot read silently destroys the
+# bit-identical-replay guarantee.  These rules make those invariants
 # lintable.
 # ---------------------------------------------------------------------------
-
-#: ``subprocess`` entry points that block until the child completes (or,
-#: for ``Popen``, fork on the event-loop thread).
-_SUBPROCESS_BLOCKING = frozenset({
-    "run", "call", "check_call", "check_output", "getoutput",
-    "getstatusoutput", "Popen",
-})
-
-#: Socket methods that are unambiguously blocking network I/O.
-_SOCKET_ALWAYS_BLOCKING = frozenset({
-    "recv", "recv_into", "recvfrom", "recvfrom_into", "sendall",
-})
-
-#: Socket methods flagged only on a socket-looking receiver (the names are
-#: common enough elsewhere — e.g. ``visitor.accept`` — to need the guard).
-_SOCKET_GUARDED_BLOCKING = frozenset({"accept", "connect", "makefile"})
-
-#: Receiver identifiers treated as sockets/connections for the guarded set.
-_SOCKISH = ("sock", "conn")
-
-
-def _is_sockish(expr: ast.AST) -> bool:
-    ident = _terminal_identifier(expr)
-    return ident is not None and any(
-        part in ident.lower() for part in _SOCKISH)
-
-
-@register_rule
-class AsyncNoBlockingRule(LintRule):
-    """Coroutines must never block the event loop.
-
-    One synchronous ``time.sleep``, file read, socket call, lock acquire
-    or ``Future.result`` inside ``async def`` stalls *every* connection
-    multiplexed on that loop — a gateway worker mid-``time.sleep`` is
-    indistinguishable from an overloaded backend, so the admission tier
-    starts rejecting for latency it caused itself.  Anything directly
-    ``await``-ed is exempt (that is the non-blocking form).
-    """
-
-    name = "async-no-blocking"
-    description = ("blocking calls (time.sleep, sync file/socket I/O, "
-                   "Lock.acquire, Future.result, subprocess) are "
-                   "forbidden inside async def")
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        awaited = set()
-        body = list(_own_nodes(node))
-        for sub in body:
-            if isinstance(sub, ast.Await) and isinstance(sub.value, ast.Call):
-                awaited.add(id(sub.value))
-        for sub in body:
-            if isinstance(sub, ast.Call) and id(sub) not in awaited:
-                problem = self._blocking_shape(sub)
-                if problem is not None:
-                    self.report(sub, problem)
-        self.generic_visit(node)
-
-    @staticmethod
-    def _blocking_shape(node: ast.Call) -> Optional[str]:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                return ("open() is synchronous file I/O on the event-loop "
-                        "thread; move it off-loop (run_in_executor) or "
-                        "out of the coroutine")
-            if func.id == "sleep":
-                return ("bare sleep() in a coroutine either blocks the "
-                        "loop (time.sleep) or is an un-awaited "
-                        "asyncio.sleep; await asyncio.sleep() instead")
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        owner = func.value
-        owner_name = _terminal_identifier(owner)
-        if func.attr == "sleep" and owner_name == "time":
-            return ("time.sleep() stalls the whole event loop; await "
-                    "asyncio.sleep() (loopwatch fails runs on exactly "
-                    "this shape)")
-        if owner_name == "subprocess" and func.attr in _SUBPROCESS_BLOCKING:
-            return (f"subprocess.{func.attr} blocks the loop waiting on "
-                    "the child; use asyncio.create_subprocess_exec")
-        if func.attr in _SOCKET_ALWAYS_BLOCKING:
-            return (f".{func.attr}() is blocking socket I/O; use asyncio "
-                    "streams (or hand the socket to the loop)")
-        if func.attr in _SOCKET_GUARDED_BLOCKING and _is_sockish(owner):
-            return (f"socket .{func.attr}() blocks the loop; use asyncio "
-                    "streams / loop.sock_* instead")
-        if func.attr == "acquire" and LockDisciplineRule._is_lockish(owner):
-            return ("Lock.acquire in a coroutine blocks the loop (a "
-                    "threading lock) or is an un-awaited coroutine (an "
-                    "asyncio lock); use 'async with'")
-        if func.attr == "result" and not node.args and not node.keywords:
-            return ("Future.result() blocks until completion; await the "
-                    "future instead")
-        return None
-
-
-@register_rule
-class NoOrphanTaskRule(LintRule):
-    """``create_task``/``ensure_future`` results must be kept.
-
-    The event loop holds only a *weak* reference to a task: a handle
-    discarded as a bare expression statement can be garbage-collected
-    mid-flight and silently cancelled, and any exception it raised is
-    reported to nobody.  Store the handle, await it, or hand it to an
-    owner that will.
-    """
-
-    name = "no-orphan-task"
-    description = ("create_task/ensure_future results must be stored, "
-                   "awaited or handed off; a dropped task is silently "
-                   "GC-cancelled")
-
-    _SPAWNERS = frozenset({"create_task", "ensure_future"})
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        value = node.value
-        if isinstance(value, ast.Call):
-            ident = _terminal_identifier(value.func)
-            if ident in self._SPAWNERS:
-                self.report(node, f"{ident}() result discarded; the loop "
-                                  "keeps only a weak reference, so the "
-                                  "task can be GC-cancelled mid-flight — "
-                                  "store the handle or await it")
-        self.generic_visit(node)
-
 
 #: Constructors whose instances must never cross a fork/spawn boundary.
 _UNPICKLABLE_CTORS = frozenset({

@@ -34,8 +34,8 @@ Ten commands:
   clock, RNG, lock and concurrency invariants; see
   ``docs/static_analysis.md``), with ``--baseline`` to fail only on new
   findings and ``--dynamic`` for the instrumented concurrency workloads
-  (lock graph across threads and asyncio, event-loop stall watch,
-  seqlock race harness, two-shard gateway fleet).
+  (lock graph across threads, seqlock race harness, two-shard gateway
+  fleet).
 * ``info``     — print the reproduction's configuration: the Table 1 mix,
   the SLOs, the cluster shape, and the experiment-to-bench map.
 """
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the registered rules and exit")
     lint.add_argument("--dynamic", action="store_true",
                       help="also run the instrumented concurrency "
-                           "workloads (lock graph, loopwatch, seqlock "
-                           "race, 2-shard gateway)")
+                           "workloads (lock graph, seqlock race, "
+                           "2-shard gateway)")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="fail only on findings not recorded in FILE")
     lint.add_argument("--update-baseline", action="store_true",

@@ -26,7 +26,6 @@ import io
 import json
 import multiprocessing
 import os
-import re
 import socket
 import tempfile
 import threading
@@ -41,12 +40,8 @@ from ..telemetry.registry import MetricsRegistry
 from ..telemetry.shards import record_shard_stats
 from .hashring import ShardRouter
 from .snapshot import BOARD_DEFAULT_SLOTS, SnapshotBoard
-from .worker import PolicySpec, WorkerSpec, worker_main
+from .worker import _WIRE_SAFE, PolicySpec, WorkerSpec, worker_main
 
-#: What may travel as one query type inside a ``d`` frame: printable
-#: ASCII with no comma (the separator) and no space or control character
-#: (a newline would start a second frame).
-_WIRE_SAFE = re.compile(r"[!-+\--~]+").fullmatch
 _ACCEPT = ord("1")
 
 

@@ -10,8 +10,9 @@ made.  That is what makes a worker's admission stream *bit-identical* to a
 single-process replay of its log — the acceptance check the gateway bench
 performs (``repro gateway-bench``).
 
-The transport is a line protocol over a unix stream socket, one asyncio
-server per worker:
+The transport is a line protocol over a unix stream socket, served by one
+``selectors`` loop per worker over the listening socket and every
+connection it accepted:
 
 ``d <seq> <qt1,qt2,...>``
     Decide a batch; replies ``r <seq> <bits>`` with one ``0``/``1`` per
@@ -23,6 +24,11 @@ server per worker:
     Flush the decision log to the spec'd path, reply ``X <decisions>``,
     and shut the worker down.
 
+A ``d`` frame the log could not record faithfully — no ``<seq>``, an
+empty type, a type that is not a :data:`_WIRE_SAFE` token — closes the
+connection that sent it; nothing of it is decided or logged, and every
+other connection keeps being served.
+
 Fail-open parity with :class:`~repro.runtime.AdmissionServer` is
 structural: batches run through the same
 :func:`~repro.runtime.server.decide_many_fail_open` helper the threaded
@@ -32,8 +38,12 @@ query that raised and bumps ``policy_errors`` in both hosts.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import os
+import re
+import selectors
+import socket
+import stat
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,6 +52,18 @@ from ..core import (BouncerConfig, BouncerPolicy, HostContext, LatencySLO,
 from ..core.types import AdmissionResult, Query
 from ..runtime.server import decide_many_fail_open
 from .snapshot import SnapshotBoard
+
+#: What may travel as one query type inside a ``d`` frame: printable
+#: ASCII with no comma (the separator) and no space or control character
+#: (a newline would start a second frame).
+_WIRE_SAFE = re.compile(r"[!-+\--~]+").fullmatch
+
+#: Bytes asked of one ``recv``; a read may hold several frames or part of
+#: one.
+_RECV_BYTES = 1 << 16
+
+#: What :func:`_answer` tells the loop to do with the connection next.
+_KEEP, _CLOSE, _STOP = range(3)
 
 
 @dataclass(frozen=True)
@@ -107,8 +129,8 @@ class WorkerSpec:
 class ShardEngine:
     """Transport-free core of a worker: policy + log + counters.
 
-    Kept separate from the asyncio plumbing so tests (and the bench
-    replay) can drive the exact decision/sync sequence in-process.
+    Kept separate from the socket loop so tests (and the bench replay)
+    can drive the exact decision/sync sequence in-process.
     """
 
     def __init__(self, spec: PolicySpec,
@@ -136,16 +158,23 @@ class ShardEngine:
     def sync_board(self) -> None:
         """Adopt the board's latest generation, if it moved.
 
+        The generation word is the doorbell: the board is read and
+        decoded only when its stable generation differs from the one
+        applied.  A writer mid-publish one past that generation (odd
+        word) leaves the worker deciding under its current view, without
+        waiting — a valid linearization, since the frame could as well
+        have arrived before the publish began.
+
         The applied generation is appended to the decision log *before*
         any decision made under it, giving the replay the exact preload
         positions.  Epochs are adopted from the published snapshots, so
         estimator caches invalidate identically in every process.
         """
-        if self._board is None:
+        board = self._board
+        if board is None or board.generation == self.generation:
             return
-        view = self._board.read()
-        if view is None or view.generation == self.generation:
-            return
+        view = board.read()
+        assert view is not None              # the generation moved off 0
         self.generation = view.generation
         self.policy.preload_snapshots(view.types, view.general,
                                       adopt_epochs=True)
@@ -203,52 +232,104 @@ class ShardEngine:
         return self.decisions
 
 
-async def _serve(spec: WorkerSpec) -> None:
-    board = (SnapshotBoard.attach(spec.board_name)
-             if spec.board_name else None)
-    engine = ShardEngine(spec.policy, board, spec.shard)
-    stopped = asyncio.Event()
+def _answer(engine: ShardEngine, log_path: str,
+            frames: Sequence[bytes]) -> Tuple[bytes, int]:
+    """Answer complete frames (newlines stripped) in order.
 
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                verb = line[:1]
-                if verb == b"d":
-                    gap = line.index(b" ", 2)
-                    seq = line[2:gap]
-                    qtypes = line[gap + 1:-1].decode("ascii").split(",")
-                    bits = engine.decide_batch(qtypes)
-                    writer.write(b"r %s %s\n"
-                                 % (seq, bits.encode("ascii")))
-                    await writer.drain()
-                elif verb == b"s":
-                    payload = json.dumps(engine.stats()).encode("utf-8")
-                    writer.write(b"S %s\n" % payload)
-                    await writer.drain()
-                elif verb == b"x":
-                    count = engine.flush_log(spec.log_path)
-                    writer.write(b"X %d\n" % count)
-                    await writer.drain()
-                    stopped.set()
-                    break
-                # Unknown verbs are ignored: a newer parent may speak a
-                # superset and the worker must not wedge the connection.
-        finally:
-            writer.close()
-
-    server = await asyncio.start_unix_server(handle, path=spec.socket_path)
-    try:
-        async with server:
-            await stopped.wait()
-    finally:
-        if board is not None:
-            board.close()
+    Returns the reply bytes and what to do with the connection next:
+    :data:`_KEEP`, :data:`_CLOSE` after the replies to the frames before a
+    malformed ``d`` frame, or :data:`_STOP` after ``x``.
+    """
+    out = bytearray()
+    for line in frames:
+        verb = line[:1]
+        if verb == b"d":
+            gap = line.find(b" ", 2)
+            # latin-1 maps each byte to one character, so a non-ASCII
+            # byte reaches _WIRE_SAFE and fails it there.
+            qtypes = line[gap + 1:].decode("latin-1").split(",")
+            if (gap < 3 or line[1:2] != b" "
+                    or not all(map(_WIRE_SAFE, qtypes))):
+                return bytes(out), _CLOSE
+            out += b"r %s %s\n" % (
+                line[2:gap], engine.decide_batch(qtypes).encode("ascii"))
+        elif verb == b"s":
+            out += b"S %s\n" % json.dumps(engine.stats()).encode("utf-8")
+        elif verb == b"x":
+            out += b"X %d\n" % engine.flush_log(log_path)
+            return bytes(out), _STOP
+        # Unknown verbs are ignored: a newer parent may speak a superset
+        # and the worker must not wedge the connection.
+    return bytes(out), _KEEP
 
 
 def worker_main(spec: WorkerSpec) -> None:
-    """Process entry point (the ``spawn`` target)."""
-    asyncio.run(_serve(spec))
+    """Process entry point (the ``spawn`` target): serve every connection
+    from one ``selectors`` loop until ``x``.
+
+    Each connection keeps the bytes after its last newline until the rest
+    of that frame arrives; the complete frames of one read are answered
+    in order with one ``sendall``.  Sends block, so a client that stops
+    reading its replies stalls the worker once its socket buffer fills.
+    """
+    board = (SnapshotBoard.attach(spec.board_name)
+             if spec.board_name else None)
+    engine = ShardEngine(spec.policy, board, spec.shard)
+    selector = selectors.DefaultSelector()
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    inbox: Dict[socket.socket, bytes] = {}
+
+    def drop(conn: socket.socket) -> None:
+        selector.unregister(conn)
+        del inbox[conn]
+        conn.close()
+
+    try:
+        # A socket file left by an earlier worker would fail the bind.
+        try:
+            if stat.S_ISSOCK(os.stat(spec.socket_path).st_mode):
+                os.remove(spec.socket_path)
+        except FileNotFoundError:
+            pass
+        listener.bind(spec.socket_path)
+        listener.listen(100)
+        selector.register(listener, selectors.EVENT_READ)
+        while True:
+            for key, _ in selector.select():
+                if key.fileobj is listener:
+                    conn, _ = listener.accept()
+                    selector.register(conn, selectors.EVENT_READ)
+                    inbox[conn] = b""
+                    continue
+                conn = key.fileobj  # type: ignore[assignment]
+                try:
+                    data = conn.recv(_RECV_BYTES)
+                except OSError:
+                    data = b""
+                if not data:
+                    drop(conn)
+                    continue
+                pending = inbox[conn] + data
+                end = pending.rfind(b"\n") + 1
+                inbox[conn] = pending[end:]
+                if not end:
+                    continue
+                reply, then = _answer(engine, spec.log_path,
+                                      pending[:end - 1].split(b"\n"))
+                if reply:
+                    try:
+                        conn.sendall(reply)
+                    except OSError:          # the client went away
+                        then = max(then, _CLOSE)     # _STOP still stops
+                if then == _STOP:
+                    return
+                if then == _CLOSE:
+                    drop(conn)
+    finally:
+        for conn in inbox:
+            conn.close()
+        listener.close()
+        selector.close()
+        if board is not None:
+            board.close()
+

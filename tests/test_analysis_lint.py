@@ -140,43 +140,6 @@ class TestSpanMustFinish:
         assert lines_fired(violations, "span-must-finish") == [2]
 
 
-class TestAsyncNoBlocking:
-    #: ``async_bad.py`` also trips no-wall-clock (time.sleep) — select the
-    #: rule under test so the assertions stay focused.
-    SELECT = {"async-no-blocking"}
-
-    def test_fires_on_each_blocking_shape(self):
-        violations = lint_fixture("async_bad.py", select=self.SELECT)
-        assert rules_fired(violations) == {"async-no-blocking"}
-        assert lines_fired(violations, "async-no-blocking") == \
-            [8, 9, 10, 11, 12, 13, 14]
-
-    def test_silent_on_awaited_and_sync_code(self):
-        assert lint_fixture("async_ok.py", select=self.SELECT) == []
-
-    def test_nested_sync_def_is_not_the_coroutines_problem(self):
-        source = ("import time\n\n"
-                  "async def f(pool):\n"
-                  "    def work():\n"
-                  "        time.sleep(1)\n"
-                  "    await pool.run(work)\n")
-        violations = lint_source(source, "src/repro/x.py",
-                                 LintConfig(select=self.SELECT))
-        assert violations == []
-
-
-class TestNoOrphanTask:
-    SELECT = {"no-orphan-task"}
-
-    def test_fires_on_discarded_spawns(self):
-        violations = lint_fixture("orphan_task_bad.py", select=self.SELECT)
-        assert rules_fired(violations) == {"no-orphan-task"}
-        assert lines_fired(violations, "no-orphan-task") == [6, 7, 8]
-
-    def test_silent_when_stored_awaited_or_handed_off(self):
-        assert lint_fixture("orphan_task_ok.py", select=self.SELECT) == []
-
-
 class TestForkSafety:
     SELECT = {"fork-safety"}
 
@@ -252,8 +215,7 @@ class TestFramework:
         names = set(available_rules())
         assert {"no-wall-clock", "seeded-rng-only", "no-simtime-float-eq",
                 "lock-discipline", "no-swallowed-engine-errors",
-                "span-must-finish", "async-no-blocking", "no-orphan-task",
-                "fork-safety", "shm-lifecycle",
+                "span-must-finish", "fork-safety", "shm-lifecycle",
                 "seqlock-discipline"} == names
 
     def test_select_runs_only_chosen_rules(self):

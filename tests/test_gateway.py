@@ -1,6 +1,10 @@
 """Tests for the sharded admission gateway (repro.gateway)."""
 
+import multiprocessing
 import os
+import shutil
+import socket
+import tempfile
 
 import pytest
 
@@ -8,12 +12,13 @@ from repro.bench.gateway_perf import (build_policy_spec, build_publication,
                                       check_gateway_baseline,
                                       replay_decision_log)
 from repro.core import LatencyHistogram
+from repro.core.clock import MonotonicClock
 from repro.core.histogram import HistogramSnapshot
 from repro.exceptions import ConfigurationError, ShuttingDownError
 from repro.gateway import (BOARD_DEFAULT_SLOTS, GatewayServer, PolicySpec,
                            ShardRouter, SnapshotBoard, run_open_loop)
 from repro.gateway.snapshot import GENERAL_SLOT, MAX_NAME_BYTES
-from repro.gateway.worker import ShardEngine
+from repro.gateway.worker import ShardEngine, WorkerSpec, worker_main
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.shards import aggregate_shard_stats
 
@@ -307,6 +312,221 @@ class TestShardEngine:
         assert stats["per_type"]["a"]["decided"] == 2
         totals = aggregate_shard_stats({3: stats})
         assert totals["decisions"] == 3
+
+
+class CountingBoard(SnapshotBoard):
+    """A board that counts full reads (copy + decode of every slot)."""
+
+    reads = 0
+
+    def read(self):
+        self.reads += 1
+        return super().read()
+
+
+class TestBoardDoorbell:
+    def test_board_is_read_once_per_adopted_generation(self):
+        with CountingBoard.create(slots=4) as board:
+            engine = ShardEngine(tiny_spec(), board)
+            for frame in range(200):
+                if frame % 50 == 0:
+                    board.publish(
+                        {"a": snapshot_with([0.01], epoch=frame + 1)})
+                engine.decide_batch(["a", "b"])
+            assert board.reads == 4
+            assert engine.snapshot_syncs == 4
+            assert engine.generation == 8
+
+    def test_writer_mid_publish_leaves_the_current_view(self, tmp_path,
+                                                        monkeypatch):
+        import repro.gateway.snapshot as snapshot_mod
+
+        spec = tiny_spec()
+        types = {"a": snapshot_with([0.01] * 10, epoch=1),
+                 "b": snapshot_with([0.08] * 10, epoch=1)}
+        with SnapshotBoard.create(slots=4) as board, \
+                SnapshotBoard.create(slots=4) as steady:
+            board.publish(types)
+            steady.publish(types)
+            engine = ShardEngine(spec, board)
+            oracle = ShardEngine(spec, steady)
+            assert engine.decide_batch(["a", "b"]) == \
+                oracle.decide_batch(["a", "b"])
+            # The writer has opened generation 3 and not closed it.
+            snapshot_mod._GEN.pack_into(board._shm.buf, snapshot_mod._GEN_OFF,
+                                        3)
+
+            def no_backoff(attempt):
+                raise AssertionError("the worker waited for the writer")
+
+            monkeypatch.setattr(snapshot_mod, "_reader_backoff", no_backoff)
+            frame = ["b", "a", "b", "a", "a"]
+            assert engine.decide_batch(frame) == oracle.decide_batch(frame)
+            assert engine.generation == 2
+            assert engine.snapshot_syncs == 1
+            log_path = str(tmp_path / "log")
+            engine.flush_log(log_path)
+        with open(log_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert [line for line in lines if line.startswith("g ")] == ["g 2"]
+
+
+@pytest.fixture
+def worker_spec():
+    # A short directory: a unix socket path must fit in ~100 bytes.
+    runtime = tempfile.mkdtemp(prefix="repro-gw-")
+    yield WorkerSpec(shard=0, socket_path=os.path.join(runtime, "w.sock"),
+                     log_path=os.path.join(runtime, "w.log"),
+                     board_name=None, policy=tiny_spec())
+    shutil.rmtree(runtime, ignore_errors=True)
+
+
+@pytest.fixture
+def spawn(worker_spec):
+    """Starts one real worker process (no board); the test's leftovers
+    are terminated."""
+    procs = []
+
+    def start():
+        proc = multiprocessing.get_context("spawn").Process(
+            target=worker_main, args=(worker_spec,), daemon=True)
+        proc.start()
+        procs.append(proc)
+        return worker_spec, proc
+
+    yield start
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=5.0)
+
+
+def connect(spec, proc, timeout=30.0):
+    """A client connection to the worker, once its socket is up."""
+    clock = MonotonicClock()
+    deadline = clock.now() + timeout
+    while True:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.connect(spec.socket_path)
+            sock.settimeout(10.0)
+            return sock, sock.makefile("rb")
+        except OSError:
+            sock.close()
+            assert proc.is_alive() and clock.now() < deadline
+            clock.sleep(0.02)
+
+
+def oracle_bits(*frames):
+    """What the worker must answer: the same frames on one in-process
+    engine built from the same spec."""
+    engine = ShardEngine(tiny_spec())
+    return [engine.decide_batch(frame).encode("ascii") for frame in frames]
+
+
+class TestWorkerLoop:
+    def test_frame_split_byte_by_byte(self, spawn):
+        sock, replies = connect(*spawn())
+        clock = MonotonicClock()
+        for byte in b"d 7 a,b,a\n":
+            sock.sendall(bytes([byte]))
+            clock.sleep(0.002)
+        assert replies.readline() == b"r 7 %s\n" % oracle_bits(
+            ["a", "b", "a"])[0]
+        sock.close()
+
+    def test_three_frames_in_one_send_are_answered_in_order(self, spawn):
+        sock, replies = connect(*spawn())
+        sock.sendall(b"d 1 a\nd 2 b,a\nd 3 a,a,b\n")
+        expected = oracle_bits(["a"], ["b", "a"], ["a", "a", "b"])
+        assert [replies.readline() for _ in range(3)] == [
+            b"r %d %s\n" % (seq, bits)
+            for seq, bits in enumerate(expected, start=1)]
+        sock.close()
+
+    def test_two_connections_interleave(self, spawn):
+        spec, proc = spawn()
+        first, first_replies = connect(spec, proc)
+        second, second_replies = connect(spec, proc)
+        first.sendall(b"d 1 a,")
+        second.sendall(b"d 9 b\n")
+        early, late = oracle_bits(["b"], ["a", "b"])
+        assert second_replies.readline() == b"r 9 %s\n" % early
+        first.sendall(b"b\n")
+        assert first_replies.readline() == b"r 1 %s\n" % late
+        first.close()
+        second.close()
+
+    def test_unknown_verb_is_ignored(self, spawn):
+        sock, replies = connect(*spawn())
+        sock.sendall(b"q 1 a\n\nd 2 a\n")
+        assert replies.readline() == b"r 2 %s\n" % oracle_bits(["a"])[0]
+        sock.close()
+
+    def test_x_with_another_client_connected(self, spawn):
+        spec, proc = spawn()
+        bystander, bystander_replies = connect(spec, proc)
+        bystander.sendall(b"d 1 a\n")
+        assert bystander_replies.readline().startswith(b"r 1 ")
+        closer, closer_replies = connect(spec, proc)
+        closer.sendall(b"x\n")
+        assert closer_replies.readline() == b"X 1\n"
+        proc.join(timeout=10.0)
+        assert proc.exitcode == 0
+        assert bystander_replies.readline() == b""      # EOF
+        with open(spec.log_path, "rb") as handle:
+            assert handle.read() == b"d a %s\n" % oracle_bits(["a"])[0]
+        bystander.close()
+        closer.close()
+
+    def test_stale_socket_file_is_replaced(self, spawn):
+        spec, proc = spawn()
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(spec.socket_path)
+        stale.close()                 # leaves the socket file behind
+        assert os.path.exists(spec.socket_path)
+        sock, replies = connect(spec, proc)
+        sock.sendall(b"d 1 a\n")
+        assert replies.readline() == b"r 1 %s\n" % oracle_bits(["a"])[0]
+        sock.close()
+
+
+#: ``d`` frames the decision log could not record faithfully.
+MALFORMED_FRAMES = [
+    b"d 2 \n",                   # empty type list: was answered ``r 2 1``
+    b"d 3 rank,,facet\n",        # an empty type: was answered ``r 3 111``
+    b"d a\n",                    # no <seq>
+    b"d  a\n",                   # empty <seq>
+    b"d\n",
+    b"d 4 caf\xc3\xa9\n",        # not ASCII
+    b"d 5 a b\n",                # a space inside a type
+    b"d 6 a,\x01\n",             # a control character
+]
+
+
+class TestMalformedFrames:
+    def test_bad_frame_closes_only_its_connection(self, spawn):
+        spec, proc = spawn()
+        steady, steady_replies = connect(spec, proc)
+        answered = 0
+        for bad in MALFORMED_FRAMES:
+            sock, replies = connect(spec, proc)
+            # The good frame before the bad one is still answered.
+            sock.sendall(b"d 1 a\n" + bad + b"d 2 b\n")
+            assert replies.readline().startswith(b"r 1 ")
+            assert replies.readline() == b""            # closed, not answered
+            sock.close()
+            steady.sendall(b"d %d b,a\n" % answered)
+            assert steady_replies.readline().startswith(b"r %d " % answered)
+            answered += 1
+        steady.sendall(b"x\n")
+        assert steady_replies.readline() == b"X %d\n" % (3 * answered)
+        proc.join(timeout=10.0)
+        assert proc.exitcode == 0
+        decisions, mismatches = replay_decision_log(spec.log_path,
+                                                    spec.policy, {})
+        assert (decisions, mismatches) == (3 * answered, 0)
+        steady.close()
 
 
 class TestGatewayServer:

@@ -8,15 +8,13 @@ multi-thread edges, and the `--dynamic` CLI workload's plumbing.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 import pytest
 
-from repro.analysis.lockcheck import (CheckedAsyncCondition,
-                                      CheckedAsyncLock, CheckedLock,
-                                      CheckedRLock, LockCheckRegistry,
-                                      current_registry, install, uninstall)
+from repro.analysis.lockcheck import (CheckedLock, CheckedRLock,
+                                      LockCheckRegistry, current_registry,
+                                      install, uninstall)
 
 
 @pytest.fixture
@@ -240,170 +238,6 @@ class TestInstall:
         registry.check()
 
 
-class TestAsyncLocks:
-    # All async primitives are created *inside* the running loop: on 3.9
-    # asyncio.Lock() binds events.get_event_loop() at construction, and a
-    # lock built outside asyncio.run()'s loop would fault when awaited.
-
-    def test_consistent_async_nesting_is_clean(self, registry):
-        async def nest():
-            lock_a = CheckedAsyncLock(registry, name="async-A")
-            lock_b = CheckedAsyncLock(registry, name="async-B")
-            async with lock_a:
-                async with lock_b:
-                    pass
-
-        asyncio.run(nest())
-        assert registry.edge_count() == 1
-        registry.check()
-
-    def test_async_abba_reports_cycle(self, registry):
-        async def scenario():
-            lock_a = CheckedAsyncLock(registry, name="async-A")
-            lock_b = CheckedAsyncLock(registry, name="async-B")
-            async with lock_a:
-                async with lock_b:
-                    pass
-            async with lock_b:
-                async with lock_a:
-                    pass
-
-        asyncio.run(scenario())
-        assert len(registry.violations) == 1
-        assert {"async-A", "async-B"} <= set(registry.violations[0].cycle)
-        with pytest.raises(AssertionError, match="lock-order"):
-            registry.check()
-
-    def test_independent_tasks_share_no_held_stack(self, registry):
-        # Two tasks interleaved on one loop thread each hold one lock.
-        # A thread-local stack would see task 1's lock "held" while task 2
-        # acquires — a phantom edge.  The per-task bookkeeping must not.
-        async def scenario():
-            lock_a = CheckedAsyncLock(registry, name="async-A")
-            lock_b = CheckedAsyncLock(registry, name="async-B")
-            started = asyncio.Event()
-            release = asyncio.Event()
-
-            async def holder():
-                async with lock_a:
-                    started.set()
-                    await release.wait()
-
-            async def bystander():
-                await started.wait()
-                async with lock_b:
-                    pass
-                release.set()
-
-            await asyncio.gather(holder(), bystander())
-
-        asyncio.run(scenario())
-        assert registry.edge_count() == 0
-        registry.check()
-
-    def test_mixed_async_and_thread_locks_share_one_graph(self, registry):
-        # The gateway's mixed-substrate deadlock: a coroutine holding an
-        # asyncio lock takes a threading.Lock, elsewhere the same pair is
-        # taken in the opposite order.  One graph must see the cycle.
-        async def scenario():
-            async_lock = CheckedAsyncLock(registry, name="async-A")
-            thread_lock = CheckedLock(registry, name="thread-B")
-            async with async_lock:
-                with thread_lock:
-                    pass
-            with thread_lock:
-                async with async_lock:
-                    pass
-
-        asyncio.run(scenario())
-        assert len(registry.violations) == 1
-        assert {"async-A", "thread-B"} <= set(registry.violations[0].cycle)
-
-    def test_condition_wait_releases_the_held_stack(self, registry):
-        # A waiter suspended in cond.wait() does NOT hold the lock; locks
-        # taken elsewhere meanwhile must not pick up edges under it.
-        async def scenario():
-            cond = CheckedAsyncCondition(registry=registry,
-                                         name="async-cond")
-            lock_b = CheckedAsyncLock(registry, name="async-B")
-            ready = asyncio.Event()
-
-            async def waiter():
-                async with cond:
-                    ready.set()
-                    await cond.wait()
-
-            async def toucher():
-                await ready.wait()
-                async with lock_b:
-                    pass
-                async with cond:
-                    cond.notify_all()
-
-            await asyncio.gather(waiter(), toucher())
-
-        asyncio.run(scenario())
-        assert registry.edge_count() == 0
-        registry.check()
-
-    def test_condition_wait_for(self, registry):
-        state = {"ready": False}
-
-        async def scenario():
-            cond = CheckedAsyncCondition(registry=registry,
-                                         name="async-cond")
-
-            async def producer():
-                await asyncio.sleep(0)
-                async with cond:
-                    state["ready"] = True
-                    cond.notify_all()
-
-            async def consumer():
-                async with cond:
-                    await cond.wait_for(lambda: state["ready"])
-
-            await asyncio.gather(consumer(), producer())
-
-        asyncio.run(scenario())
-        registry.check()
-
-
-class TestAsyncInstall:
-    def test_in_scope_async_primitives_are_instrumented(self):
-        registry = install(scope_prefixes=(__name__,))
-        try:
-            assert isinstance(asyncio.Lock(), CheckedAsyncLock)
-            assert isinstance(asyncio.Condition(), CheckedAsyncCondition)
-            assert current_registry() is registry
-        finally:
-            uninstall()
-        # Uninstall restores the real constructors.
-        assert not isinstance(asyncio.Lock(), CheckedAsyncLock)
-        assert not isinstance(asyncio.Condition(), CheckedAsyncCondition)
-
-    def test_out_of_scope_async_locks_stay_real(self):
-        install()  # default scope: repro.* — this test module is outside
-        try:
-            assert not isinstance(asyncio.Lock(), CheckedAsyncLock)
-            assert not isinstance(asyncio.Condition(),
-                                  CheckedAsyncCondition)
-        finally:
-            uninstall()
-
-    def test_legacy_arguments_bypass_instrumentation(self):
-        install(scope_prefixes=(__name__,))
-        try:
-            # Any constructor arguments mean a contract the wrapper can't
-            # honour; the factory hands back the real primitive.
-            lock = asyncio.Lock()
-            assert isinstance(lock, CheckedAsyncLock)
-            cond = asyncio.Condition(lock=None)
-            assert not isinstance(cond, CheckedAsyncCondition)
-        finally:
-            uninstall()
-
-
 class TestDynamicWorkload:
     def test_render_report_lists_violations(self, registry):
         from repro.analysis.dynamic import render_dynamic_report
@@ -451,10 +285,7 @@ class TestRunDynamicCheck:
         result = run_dynamic_check(seed=3, gateway=False)
         assert result.ok(), result.problems()
         assert result.gateway_decisions is None
-        assert result.loop_decisions and result.loop_decisions > 0
-        assert result.stalls == []
         assert result.race is not None and result.race.torn == 0
         report = render_check_report(result)
         assert "dynamic lockcheck" in report
-        assert "dynamic loopwatch" in report
         assert "seqlock race" in report
