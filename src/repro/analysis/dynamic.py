@@ -147,21 +147,29 @@ def _runtime_workload(seed: int) -> None:
 
 def _gateway_workload(seed: int) -> int:
     """Publish/decide rounds against a real two-shard spawned fleet."""
-    from ..bench.gateway_perf import (GATEWAY_TYPES, build_policy_spec,
-                                      build_publication)
-    from ..gateway import GatewayServer
+    from ..core.histogram import LatencyHistogram
+    from ..gateway import GatewayServer, PolicySpec
 
     rng = random.Random(seed)
-    names = list(GATEWAY_TYPES)
-    weights = [GATEWAY_TYPES[name][3] for name in names]
+    names = [f"type-{index}" for index in range(8)]
+    spec = PolicySpec(default_slo={50: 0.025, 90: 0.060},
+                      queue_fill=dict.fromkeys(names, 4), parallelism=64)
     decisions = 0
-    server = GatewayServer(build_policy_spec(), shards=2)
+    server = GatewayServer(spec, shards=2)
     server.start()
     try:
         for round_index in range(_GATEWAY_ROUNDS):
-            types, general = build_publication(round_index, seed)
-            server.publish(types, general)
-            qtypes = rng.choices(names, weights=weights, k=_GATEWAY_BATCH)
+            general = LatencyHistogram()
+            types = {}
+            for name in names:
+                hist = LatencyHistogram()
+                for _ in range(50):
+                    value = rng.uniform(0.001, 0.05)
+                    hist.record(value)
+                    general.record(value)
+                types[name] = hist.snapshot(epoch=round_index + 1)
+            server.publish(types, general.snapshot(epoch=round_index + 1))
+            qtypes = rng.choices(names, k=_GATEWAY_BATCH)
             decisions += len(server.decide_many(qtypes))
         server.collect_stats()
     finally:

@@ -25,11 +25,6 @@ Ten commands:
   throughput) plus the parallel experiment runner, emitting machine-
   readable JSON with an optional regression gate against a committed
   baseline (see ``docs/performance.md``).
-* ``gateway-bench`` — run the open-loop multi-process sharded-gateway
-  benchmark (BENCH_03): N worker processes deciding admissions against
-  shared-memory histogram snapshots, gated on the per-shard decision
-  logs replaying bit-identically through a single-process policy
-  (see ``docs/gateway.md``).
 * ``lint``     — run the project-aware static analysis (determinism,
   clock, RNG, lock and concurrency invariants; see
   ``docs/static_analysis.md``), with ``--baseline`` to fail only on new
@@ -171,24 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BENCH_02 baseline JSON to gate batch-64 "
                             "decide_many throughput against (implies the "
                             "burst sweep; exit 1 on regression)")
-
-    gwbench = sub.add_parser(
-        "gateway-bench",
-        help="open-loop multi-process gateway benchmark with a "
-             "bit-identity replay gate (docs/gateway.md)")
-    gwbench.add_argument("--scale", choices=("quick", "full"),
-                         default="full",
-                         help="quick = CI smoke (reduced traffic, no QPS "
-                              "floor); full = the BENCH_03 acceptance run")
-    gwbench.add_argument("--out", default="BENCH_03.json",
-                         help="aggregate JSON output path")
-    gwbench.add_argument("--baseline", default=None,
-                         help="BENCH_03 baseline JSON to gate achieved "
-                              "QPS against (exit 1 on regression; the "
-                              "replay bit-identity gate always runs)")
-    gwbench.add_argument("--tolerance", type=float, default=None,
-                         help="allowed fractional QPS drop vs the "
-                              "baseline (default 0.30)")
 
     trace = sub.add_parser(
         "trace-report",
@@ -410,47 +387,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         failed |= gate(args.batch_baseline, batch_document,
                        check_batch_baseline, "BENCH_02")
     return failed
-
-
-def cmd_gateway_bench(args: argparse.Namespace) -> int:
-    """Run the sharded-gateway bench; gate replay identity and QPS."""
-    import json
-
-    from .bench.gateway_perf import (DEFAULT_TOLERANCE, GATEWAY_SCALES,
-                                     check_gateway_baseline,
-                                     render_gateway_summary,
-                                     run_gateway_bench,
-                                     write_gateway_results)
-
-    document = run_gateway_bench(GATEWAY_SCALES[args.scale],
-                                 mode=args.scale)
-    written = write_gateway_results(document, args.out)
-    print(render_gateway_summary(document))
-    print()
-    for path in written:
-        print(f"wrote {path}")
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"gateway-bench: cannot read baseline "
-                  f"{args.baseline}: {exc}", file=sys.stderr)
-            return 1
-    problems = check_gateway_baseline(document, baseline,
-                                      tolerance=tolerance)
-    if problems:
-        for problem in problems:
-            print(f"gateway-bench: REGRESSION: {problem}",
-                  file=sys.stderr)
-        return 1
-    if baseline is not None:
-        print(f"BENCH_03 baseline check passed ({args.baseline}, "
-              f"tolerance {tolerance:.0%})")
-    return 0
 
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
@@ -712,8 +648,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_chaos(args)
         if args.command == "bench":
             return cmd_bench(args)
-        if args.command == "gateway-bench":
-            return cmd_gateway_bench(args)
         if args.command == "trace-report":
             return cmd_trace_report(args)
         if args.command == "spans":

@@ -236,9 +236,9 @@ class _BatchEntry:
 class FastPathStats:
     """Counters describing fast-path effectiveness (telemetry surface).
 
-    ``batch_calls`` / ``batch_queries`` count :meth:`BouncerPolicy.decide_many`
-    invocations and the queries they carried (mean burst size is their
-    ratio); they tick on the batch path regardless of ``fast_path`` mode.
+    ``batch_calls`` / ``batch_queries`` count ``decide_many`` and
+    ``decide_types`` invocations and the queries they carried (mean burst
+    size is their ratio); they tick regardless of ``fast_path`` mode.
     """
 
     __slots__ = ("cache_hits", "cache_misses", "eq2_recomputes",
@@ -908,6 +908,32 @@ class BouncerPolicy(AdmissionPolicy):
         if outcomes:
             self.stats.record_many(outcomes)
         return results
+
+    def decide_types(self, qtypes: Sequence[str], out: bytearray) -> None:
+        """:meth:`decide_many`'s no-callback pass, keyed by type name: one
+        Eq. 2 wait, each distinct type resolved once, one bit per query
+        from (entry, wait), and :attr:`stats` tallied for exactly the bits
+        appended, even when resolving a type raises."""
+        if not qtypes:
+            return
+        stats = self.fast_path_stats
+        stats.batch_calls += 1
+        stats.batch_queries += len(qtypes)
+        start = len(out)
+        append = out.append
+        entries: Dict[str, _BatchEntry] = {}
+        try:
+            wait_mean = self.estimate_wait_mean()
+            for qtype in qtypes:
+                entry = entries.get(qtype)
+                if entry is None:
+                    entry = entries[qtype] = self._batch_entry(qtype)
+                if entry.proto_wait != wait_mean:
+                    self._entry_result(entry, wait_mean)
+                append(0x31 if entry.proto_accept else 0x30)
+        finally:
+            self.stats.record_bits(qtypes, out[start:],
+                                   RejectReason.SLO_ESTIMATE)
 
     def _entry_result(self, entry: _BatchEntry,
                       wait_mean: float) -> AdmissionResult:

@@ -85,6 +85,22 @@ class PolicyStats:
         for qtype, result in outcomes:
             self.record(qtype, result)
 
+    def record_bits(self, qtypes: Iterable[str], bits: bytes,
+                    reason: RejectReason) -> None:
+        """Tally one outcome per ``(qtype, bit)`` pair, up to the shorter
+        of the two: ``b"1"`` accepts, ``b"0"`` rejects for ``reason``."""
+        per_type = self._per_type
+        for qtype, bit in zip(qtypes, bits):
+            counters = per_type.get(qtype)
+            if counters is None:
+                counters = per_type[qtype] = TypeCounters()
+            if bit == 0x31:
+                counters.accepted += 1
+            else:
+                counters.rejected += 1
+                by_reason = counters.rejected_by_reason
+                by_reason[reason] = by_reason.get(reason, 0) + 1
+
     def for_type(self, qtype: str) -> TypeCounters:
         """Counters for one type (zeros when never seen)."""
         return self._per_type.get(qtype, TypeCounters())
@@ -159,6 +175,17 @@ class AdmissionPolicy(abc.ABC):
             if on_decision is not None:
                 on_decision(query, result)
         return results
+
+    def decide_types(self, qtypes: Sequence[str], out: bytearray) -> None:
+        """Decide queries known only by type name (hosts with no queue
+        entry per query): append ``b"1"``/``b"0"`` to ``out`` as each is
+        decided, so if the policy raises, ``len(out)`` indexes the query
+        that raised.  This default is :meth:`decide_many` over fresh
+        queries, correct for every policy; Bouncer overrides it."""
+        def append(query: Query, result: AdmissionResult) -> None:
+            out.extend(b"1" if result.accepted else b"0")
+
+        self.decide_many([Query(qtype=qtype) for qtype in qtypes], append)
 
     @abc.abstractmethod
     def _decide(self, query: Query) -> AdmissionResult:

@@ -7,8 +7,8 @@ time-driven state change (dual-buffer swaps, bootstrap publishes) from the
 worker, so its policy state advances only through the two channels the
 decision log records: snapshot-board generations applied and decisions
 made.  That is what makes a worker's admission stream *bit-identical* to a
-single-process replay of its log — the acceptance check the gateway bench
-performs (``repro gateway-bench``).
+single-process replay of its log — the check the ``gateway_rpc`` workload
+of ``benchmarks/e2e`` runs on every worker log.
 
 The transport is a line protocol over a unix stream socket, served by one
 ``selectors`` loop per worker over the listening socket and every
@@ -27,13 +27,10 @@ connection it accepted:
 A ``d`` frame the log could not record faithfully — no ``<seq>``, an
 empty type, a type that is not a :data:`_WIRE_SAFE` token — closes the
 connection that sent it; nothing of it is decided or logged, and every
-other connection keeps being served.
-
-Fail-open parity with :class:`~repro.runtime.AdmissionServer` is
-structural: batches run through the same
-:func:`~repro.runtime.server.decide_many_fail_open` helper the threaded
-server's ``submit_many`` uses, so a crashing policy admits exactly the
-query that raised and bumps ``policy_errors`` in both hosts.
+other connection keeps being served.  A frame is decided by the policy's
+``decide_types`` pass, with no ``Query`` per decision, and fails open
+per query like ``AdmissionServer.submit_many``
+(:meth:`ShardEngine.decide_batch`).
 """
 
 from __future__ import annotations
@@ -49,14 +46,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import (BouncerConfig, BouncerPolicy, HostContext, LatencySLO,
                     ManualClock, QueueView, SLORegistry)
-from ..core.types import AdmissionResult, Query
-from ..runtime.server import decide_many_fail_open
+from ..core.types import Query
 from .snapshot import SnapshotBoard
 
 #: What may travel as one query type inside a ``d`` frame: printable
 #: ASCII with no comma (the separator) and no space or control character
 #: (a newline would start a second frame).
-_WIRE_SAFE = re.compile(r"[!-+\--~]+").fullmatch
+_TOKEN = r"[!-+\--~]+"
+_WIRE_SAFE = re.compile(_TOKEN).fullmatch
+#: A ``d`` frame's whole type list, checked in one match.
+_FRAME_TYPES = re.compile(f"{_TOKEN}(?:,{_TOKEN})*".encode("ascii")).fullmatch
 
 #: Bytes asked of one ``recv``; a read may hold several frames or part of
 #: one.
@@ -71,7 +70,7 @@ class PolicySpec:
     """Picklable recipe for one shard's policy.
 
     Primitives only: the spec crosses the ``spawn`` pickling boundary
-    into every worker, and the bench replay rebuilds the *same* policy
+    into every worker, and a log replay rebuilds the *same* policy
     from it in-process.  SLO targets are ``{percentile: seconds}``
     mappings; ``queue_fill`` is the static simulated per-type queue depth
     each worker carries (the gateway is an admission tier — it decides
@@ -129,7 +128,7 @@ class WorkerSpec:
 class ShardEngine:
     """Transport-free core of a worker: policy + log + counters.
 
-    Kept separate from the socket loop so tests (and the bench replay)
+    Kept separate from the socket loop so tests (and ``benchmarks/e2e``)
     can drive the exact decision/sync sequence in-process.
     """
 
@@ -151,9 +150,6 @@ class ShardEngine:
         # single growing buffer — ~10x less memory per million decisions
         # and no join pass at flush time.
         self._log = bytearray()
-
-    def _on_policy_error(self) -> None:
-        self.policy_errors += 1
 
     def sync_board(self) -> None:
         """Adopt the board's latest generation, if it moved.
@@ -182,29 +178,37 @@ class ShardEngine:
         self._log += f"g {view.generation}\n".encode("utf-8")
 
     def decide_batch(self, qtypes: Sequence[str]) -> str:
-        """Decide one frame; returns the accept bits as a 0/1 string."""
+        """Decide one frame; returns the accept bits as a 0/1 string.
+
+        If the policy's ``decide_types`` pass raises, query ``len(out)``
+        fails open (bit ``1``, ``policy_errors`` + 1, no policy tally) and
+        the pass resumes after it; log and tallies follow from the bits.
+        """
         self.sync_board()
-        queries = [Query(qtype=qtype) for qtype in qtypes]
-        bits: List[str] = []
-        log = self._log
+        out = bytearray()
+        while True:
+            try:
+                self.policy.decide_types(qtypes[len(out):], out)
+                break
+            except Exception:
+                self.policy_errors += 1
+                if len(out) >= len(qtypes):
+                    break
+                out += b"1"
+        bits = out.decode("ascii")
+        self._log += "".join([f"d {qtype} {bit}\n" for qtype, bit
+                              in zip(qtypes, bits)]).encode("utf-8")
         per_type = self.per_type
-
-        def apply(query: Query, result: AdmissionResult) -> None:
-            bit = "1" if result.accepted else "0"
-            bits.append(bit)
-            log.extend(f"d {query.qtype} {bit}\n".encode("utf-8"))
-            tally = per_type.get(query.qtype)
+        for qtype, bit in zip(qtypes, bits):
+            tally = per_type.get(qtype)
             if tally is None:
-                tally = per_type.setdefault(query.qtype, [0, 0])
+                tally = per_type[qtype] = [0, 0]
             tally[0] += 1
-            if result.accepted:
+            if bit == "1":
                 tally[1] += 1
-
-        decide_many_fail_open(self.policy, queries, apply,
-                              self._on_policy_error)
         self.decisions += len(bits)
-        self.accepted += sum(1 for bit in bits if bit == "1")
-        return "".join(bits)
+        self.accepted += bits.count("1")
+        return bits
 
     def stats(self) -> Dict[str, object]:
         """Counter snapshot shipped over the control channel."""
@@ -245,14 +249,11 @@ def _answer(engine: ShardEngine, log_path: str,
         verb = line[:1]
         if verb == b"d":
             gap = line.find(b" ", 2)
-            # latin-1 maps each byte to one character, so a non-ASCII
-            # byte reaches _WIRE_SAFE and fails it there.
-            qtypes = line[gap + 1:].decode("latin-1").split(",")
-            if (gap < 3 or line[1:2] != b" "
-                    or not all(map(_WIRE_SAFE, qtypes))):
+            payload = line[gap + 1:]
+            if gap < 3 or line[1:2] != b" " or not _FRAME_TYPES(payload):
                 return bytes(out), _CLOSE
-            out += b"r %s %s\n" % (
-                line[2:gap], engine.decide_batch(qtypes).encode("ascii"))
+            bits = engine.decide_batch(payload.decode("ascii").split(","))
+            out += b"r %s %s\n" % (line[2:gap], bits.encode("ascii"))
         elif verb == b"s":
             out += b"S %s\n" % json.dumps(engine.stats()).encode("utf-8")
         elif verb == b"x":

@@ -66,9 +66,11 @@ def decide_many_fail_open(
     admits exactly the query that raised (``apply`` sees an accept,
     ``on_policy_error`` fires once) and the burst resumes batching the
     remainder.  ``apply`` receives every (query, result) pair in arrival
-    order, exactly once.  Shared by :meth:`AdmissionServer.submit_many`
-    and the gateway workers (:mod:`repro.gateway.worker`), so the two
-    hosts cannot drift on fail-open semantics.
+    order, exactly once.  Used by :meth:`AdmissionServer.submit_many`;
+    the gateway worker runs the same semantics over ``decide_types``
+    without a ``Query`` per decision, and
+    ``tests/test_gateway.py::TestShardEngine::test_policy_error_fails_open``
+    holds the two hosts to the same bits, log and tallies.
     """
     done = 0
 

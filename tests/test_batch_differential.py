@@ -11,10 +11,13 @@ every histogram mode *and* every baseline/wrapper policy.
 
 Also here: the batch arm of the Figure 6 differential guard (a batched
 simulation run against the seed scalar run), the empty-batch and
-snapshot-epoch-boundary memo regressions, and the runtime host's
-``submit_many`` (including per-query fail-open).
+snapshot-epoch-boundary memo regressions, the runtime host's
+``submit_many`` (including per-query fail-open), and ``decide_types``,
+the gateway worker's by-name pass, against the base default, the scalar
+loop and ``decide_many``.
 """
 
+import functools
 import random
 
 import pytest
@@ -478,3 +481,133 @@ class TestSpansOnBatchDifferential:
         assert batch_report.attainment == scalar_report.attainment
         assert batch_report.overall == scalar_report.overall
         assert batch_report.per_type == scalar_report.per_type
+
+
+#: Types the decide_types property draws frames from: SLO'd and
+#: published ("known"), SLO'd and never published ("cold"), published
+#: below ``min_samples`` ("thin"), and neither SLO'd nor published.
+KNOWN, COLD, THIN, UNKNOWN = "known", "cold", "thin", "stranger"
+
+
+def _types_spec(**overrides):
+    from repro.gateway import PolicySpec
+
+    return PolicySpec(
+        default_slo={50: 0.020, 90: 0.050},
+        type_slos={KNOWN: {50: 0.012, 90: 0.030},
+                   COLD: {50: 0.030, 90: 0.080},
+                   THIN: {50: 0.015, 90: 0.040}},
+        queue_fill={KNOWN: 3, COLD: 2, UNKNOWN: 1},
+        parallelism=4, min_samples=5, **overrides)
+
+
+def _publication(epoch, latencies):
+    """Snapshots for one publication: every type's values, plus the
+    general histogram over all of them, stamped with ``epoch``."""
+    from repro.core import LatencyHistogram
+
+    general = LatencyHistogram()
+    types = {}
+    for qtype, values in latencies.items():
+        hist = LatencyHistogram()
+        for value in values:
+            hist.record(value)
+            general.record(value)
+        types[qtype] = hist.snapshot(epoch=epoch)
+    return types, general.snapshot(epoch=epoch)
+
+
+def _types_ops():
+    latency = st.floats(min_value=1e-4, max_value=0.05, allow_nan=False)
+    publication = st.fixed_dictionaries({
+        KNOWN: st.lists(latency, min_size=5, max_size=30),
+        THIN: st.lists(latency, max_size=4)})
+    frame = st.lists(st.sampled_from([KNOWN, COLD, THIN, UNKNOWN]),
+                     max_size=24)
+    return st.lists(st.one_of(st.tuples(st.just("publish"), publication),
+                              st.tuples(st.just("frame"), frame)),
+                    min_size=1, max_size=12)
+
+
+def _fast_path_counts(policy):
+    fast = policy.fast_path_stats
+    return (fast.cache_hits, fast.cache_misses, fast.eq2_recomputes,
+            fast.batch_calls, fast.batch_queries)
+
+
+class TestDecideTypes:
+    """``decide_types``, the worker's by-name pass: Bouncer's override,
+    the base default and the scalar loop decide the same bits, and the
+    override does the same cache work as ``decide_many``."""
+
+    @pytest.mark.parametrize("config", [
+        dict(), dict(fast_path=False), dict(debug_check=True)],
+        ids=["fast", "naive", "debug_check"])
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_types_ops())
+    def test_pass_equals_default_scalar_and_decide_many(self, config, ops):
+        from repro.core.policy import AdmissionPolicy
+
+        spec = _types_spec(**config)
+        override, default, scalar, many = (
+            spec.build()[0] for _ in range(4))
+        for epoch, (kind, arg) in enumerate(ops, start=1):
+            if kind == "publish":
+                types, general = _publication(epoch, arg)
+                for policy in (override, default, scalar, many):
+                    policy.preload_snapshots(types, general,
+                                             adopt_epochs=True)
+                continue
+            bits, base = bytearray(), bytearray()
+            override.decide_types(arg, bits)
+            AdmissionPolicy.decide_types(default, arg, base)
+            expected = b"".join(
+                b"1" if scalar.decide(Query(qtype=q)).accepted else b"0"
+                for q in arg)
+            batch = many.decide_many([Query(qtype=q) for q in arg])
+            assert bits == base == expected == b"".join(
+                b"1" if result.accepted else b"0" for result in batch)
+            assert override.stats.types() == default.stats.types() == \
+                scalar.stats.types() == many.stats.types()
+            assert _fast_path_counts(override) == _fast_path_counts(many)
+            assert override.estimate_wait_mean() == \
+                many.estimate_wait_mean() == scalar.estimate_wait_mean()
+
+    def test_empty_list_touches_nothing(self):
+        from repro.core.policy import AdmissionPolicy
+
+        policy = _types_spec().build()[0]
+        policy.preload_snapshots(*_publication(1, {KNOWN: [0.01] * 8}),
+                                 adopt_epochs=True)
+        policy.decide_types([KNOWN, COLD], bytearray())
+        counts = _fast_path_counts(policy)
+        tallies = policy.stats.types()
+        for decide_types in (policy.decide_types,
+                             functools.partial(AdmissionPolicy.decide_types,
+                                               policy)):
+            out = bytearray(b"01")
+            decide_types([], out)
+            assert out == b"01"
+            assert _fast_path_counts(policy) == counts
+            assert policy.stats.types() == tallies
+
+    def test_a_worker_frame_builds_no_query_and_one_result_per_type(
+            self, monkeypatch):
+        from repro.core.types import AdmissionResult
+        from repro.gateway.worker import ShardEngine
+
+        engine = ShardEngine(_types_spec())
+        engine.policy.preload_snapshots(
+            *_publication(1, {KNOWN: [0.01] * 8, THIN: [0.02]}),
+            adopt_epochs=True)
+        built = {Query: 0, AdmissionResult: 0}
+        for cls in built:
+            def counting(self, *args, _init=cls.__init__, _cls=cls, **kw):
+                built[_cls] += 1
+                _init(self, *args, **kw)
+            monkeypatch.setattr(cls, "__init__", counting)
+        frame = [KNOWN, COLD, THIN, UNKNOWN] * 8
+        bits = engine.decide_batch(frame)
+        assert len(bits) == len(frame)
+        assert built[Query] == 0
+        assert 0 < built[AdmissionResult] <= len(set(frame))

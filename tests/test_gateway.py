@@ -1,5 +1,6 @@
 """Tests for the sharded admission gateway (repro.gateway)."""
 
+import functools
 import multiprocessing
 import os
 import shutil
@@ -8,19 +9,20 @@ import tempfile
 
 import pytest
 
-from repro.bench.gateway_perf import (build_policy_spec, build_publication,
-                                      check_gateway_baseline,
-                                      replay_decision_log)
-from repro.core import LatencyHistogram
+from repro.core import AdmissionPolicy, LatencyHistogram
 from repro.core.clock import MonotonicClock
 from repro.core.histogram import HistogramSnapshot
+from repro.core.types import Query
 from repro.exceptions import ConfigurationError, ShuttingDownError
 from repro.gateway import (BOARD_DEFAULT_SLOTS, GatewayServer, PolicySpec,
                            ShardRouter, SnapshotBoard, run_open_loop)
 from repro.gateway.snapshot import GENERAL_SLOT, MAX_NAME_BYTES
 from repro.gateway.worker import ShardEngine, WorkerSpec, worker_main
+from repro.runtime.server import decide_many_fail_open
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.shards import aggregate_shard_stats
+from tests.gateway_workload import (build_policy_spec, build_publication,
+                                    replay_decision_log)
 
 
 QTYPES = ["point_read", "range_scan", "two_hop", "rank", "facet",
@@ -285,22 +287,35 @@ class TestShardEngine:
             assert handle.read() == b""
 
     def test_policy_error_fails_open(self):
-        engine = ShardEngine(tiny_spec())
-        boom = {"count": 0}
-        original = engine.policy.decide_many
-
-        def flaky(queries, on_decision=None):
-            if not boom["count"]:
-                boom["count"] += 1
-                raise RuntimeError("policy bug")
-            return original(queries, on_decision=on_decision)
-
-        engine.policy.decide_many = flaky
-        bits = engine.decide_batch(["a", "b", "c"])
-        assert len(bits) == 3
-        assert bits[0] == "1"          # the query that raised fails open
-        assert engine.policy_errors == 1
-        assert engine.decisions == 3
+        # A policy that raises at one position of the frame (first,
+        # middle, last) or on every query, decided through Bouncer's
+        # decide_types pass and through the base default: bits, log,
+        # policy_errors, stats() and the policy's own tallies must be
+        # what decide_many_fail_open gives over Query objects, the helper
+        # AdmissionServer.submit_many runs.
+        frame = ["point_read", "rank", "point_read", "analytic", "rank",
+                 "admin", "point_read", "facet"]
+        cases = [(frame[:k] + ["boom"] + frame[k:], {k})
+                 for k in (0, len(frame) // 2, len(frame))]
+        cases.append((frame, set(range(len(frame)))))
+        with SnapshotBoard.create(slots=16) as board:
+            board.publish(*build_publication(2, seed=5))
+            for qtypes, raising in cases:
+                for default_pass in (False, True):
+                    engine, oracle = (
+                        poisoned_engine(board, qtypes, raising, default_pass)
+                        for _ in range(2))
+                    bits = engine.decide_batch(qtypes)
+                    assert bits == fail_open_reference(oracle, qtypes)
+                    assert {k for k in raising if bits[k] == "1"} == raising
+                    assert engine.policy_errors == oracle.policy_errors \
+                        == len(raising)
+                    assert engine.stats() == oracle.stats()
+                    assert engine.policy.stats.types() == \
+                        oracle.policy.stats.types()
+                    assert engine._log == oracle._log
+                    # point_read is rejected under this publication.
+                    assert ("0" in bits) == (len(raising) == 1)
 
     def test_stats_shape(self):
         engine = ShardEngine(tiny_spec(), shard=3)
@@ -312,6 +327,59 @@ class TestShardEngine:
         assert stats["per_type"]["a"]["decided"] == 2
         totals = aggregate_shard_stats({3: stats})
         assert totals["decisions"] == 3
+
+
+def poisoned_engine(board, qtypes, raising, default_pass):
+    """An engine whose Bouncer raises while deciding the types at
+    positions ``raising`` of ``qtypes``, on every path into it;
+    ``default_pass`` routes frames through ``AdmissionPolicy.decide_types``
+    instead of Bouncer's override."""
+    bad = {qtypes[k] for k in raising}
+    engine = ShardEngine(build_policy_spec(), board)
+    policy = engine.policy
+    batch_entry, decide = policy._batch_entry, policy._decide
+
+    def raising_entry(qtype):
+        if qtype in bad:
+            raise RuntimeError("policy bug")
+        return batch_entry(qtype)
+
+    def raising_decide(query):
+        if query.qtype in bad:
+            raise RuntimeError("policy bug")
+        return decide(query)
+
+    policy._batch_entry = raising_entry
+    policy._decide = raising_decide
+    if default_pass:
+        policy.decide_types = functools.partial(
+            AdmissionPolicy.decide_types, policy)
+    return engine
+
+
+def fail_open_reference(engine, qtypes):
+    """The worker's frame path before ``decide_types``: a ``Query`` and a
+    callback per decision through ``decide_many_fail_open``."""
+    engine.sync_board()
+    bits = []
+
+    def apply(query, result):
+        bit = "1" if result.accepted else "0"
+        bits.append(bit)
+        engine._log += f"d {query.qtype} {bit}\n".encode("utf-8")
+        tally = engine.per_type.setdefault(query.qtype, [0, 0])
+        tally[0] += 1
+        tally[1] += result.accepted
+
+    def on_error():
+        engine.policy_errors += 1
+
+    decide_many_fail_open(engine.policy,
+                          [Query(qtype=qtype) for qtype in qtypes], apply,
+                          on_error)
+    engine.decisions += len(bits)
+    engine.accepted += bits.count("1")
+    return "".join(bits)
 
 
 class CountingBoard(SnapshotBoard):
@@ -595,42 +663,3 @@ class TestGatewayServer:
     def test_rejects_bad_shards(self):
         with pytest.raises(ConfigurationError):
             GatewayServer(tiny_spec(), shards=0)
-
-
-class TestGatewayBaselineGate:
-    def doc(self, **overrides):
-        base = {"bench_id": "BENCH_03", "mode": "full",
-                "bit_identical": True, "replay_mismatches": 0,
-                "replay_decisions": 1000, "sent": 1000, "answered": 1000,
-                "achieved_qps": 120_000.0, "qps_floor": 100_000.0}
-        base.update(overrides)
-        return base
-
-    def test_clean_document_passes(self):
-        assert check_gateway_baseline(self.doc()) == []
-
-    def test_mismatch_fails_unconditionally(self):
-        problems = check_gateway_baseline(
-            self.doc(bit_identical=False, replay_mismatches=3))
-        assert any("bit-identical" in p for p in problems)
-
-    def test_decision_loss_fails(self):
-        problems = check_gateway_baseline(self.doc(answered=990))
-        assert any("never answered" in p for p in problems)
-
-    def test_qps_floor_fails_within_document(self):
-        problems = check_gateway_baseline(
-            self.doc(achieved_qps=90_000.0))
-        assert any("floor" in p for p in problems)
-
-    def test_baseline_regression_fails_same_mode(self):
-        problems = check_gateway_baseline(
-            self.doc(achieved_qps=110_000.0, qps_floor=0.0),
-            baseline=self.doc(achieved_qps=200_000.0))
-        assert any("below baseline" in p for p in problems)
-
-    def test_baseline_skipped_across_modes(self):
-        problems = check_gateway_baseline(
-            self.doc(mode="quick", achieved_qps=30_000.0, qps_floor=0.0),
-            baseline=self.doc(achieved_qps=200_000.0))
-        assert problems == []

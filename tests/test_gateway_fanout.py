@@ -22,13 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.gateway_perf import (GATEWAY_TYPES, build_policy_spec,
-                                      build_publication,
-                                      replay_decision_log)
 from repro.exceptions import ConfigurationError, ShuttingDownError
 from repro.gateway import GatewayServer, ShardRouter, SnapshotBoard
 from repro.gateway import hashring
-from repro.gateway.worker import ShardEngine
+from repro.gateway.worker import _FRAME_TYPES, _WIRE_SAFE, ShardEngine
+from tests.gateway_workload import (GATEWAY_TYPES, build_policy_spec,
+                                    build_publication, replay_decision_log)
 
 TYPES = list(GATEWAY_TYPES)
 SHARDS = 2
@@ -217,6 +216,19 @@ class TestQueryTypesAreValidatedBeforeTheWire:
             for frame in (TYPES[:3], list(reversed(TYPES)), TYPES[4:] * 3):
                 assert server.decide_many(frame) == \
                     oracle.decide_many(frame)
+
+    @settings(max_examples=500, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=24),
+        st.lists(st.sampled_from([b"a", b"Z9", b"~!", b"-", b",", b"",
+                                  b" ", b"\n", b"\r", b"\x7f", b"\x00",
+                                  b"\xc3\xa9"]),
+                 max_size=10).map(b"".join)))
+    def test_the_worker_frame_check_is_the_parent_type_check(self, payload):
+        # The worker checks a d payload with one regex, the parent checks
+        # each type: they must accept exactly the same frames.
+        per_type = all(map(_WIRE_SAFE, payload.decode("latin-1").split(",")))
+        assert bool(_FRAME_TYPES(payload)) == per_type
 
     @pytest.mark.parametrize("qtype", ["a", "point_read", "A-z_0.9:/+~!"])
     def test_ordinary_names_pass(self, qtype):
