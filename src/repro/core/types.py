@@ -66,7 +66,7 @@ class Query:
         self.arrival_time = arrival_time
         self.deadline = deadline
         self.payload = payload
-        self.query_id = next_query_id() if query_id is None else query_id
+        self.query_id = next(_query_ids) if query_id is None else query_id
         # Timestamps stamped by the framework as the query progresses.  They
         # are mutable bookkeeping, not part of the query's identity.
         self.enqueued_at: Optional[float] = None

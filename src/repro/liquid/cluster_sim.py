@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence)
 
 from collections import deque
+from itertools import accumulate
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
     from ..faults import FaultInjector
@@ -75,6 +77,8 @@ class QueryTypeCost:
     subquery_median: float
     subquery_sigma: float
     broker_overhead: float = 0.0001
+    #: ``log(subquery_median)``, taken once: every sub-query samples it.
+    subquery_mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -85,10 +89,8 @@ class QueryTypeCost:
         if self.subquery_median <= 0 or self.subquery_sigma < 0:
             raise ConfigurationError(
                 f"invalid sub-query distribution for {self.name}")
-
-    @property
-    def subquery_mu(self) -> float:
-        return math.log(self.subquery_median)
+        object.__setattr__(self, "subquery_mu",
+                           math.log(self.subquery_median))
 
     @property
     def subquery_mean(self) -> float:
@@ -149,9 +151,10 @@ class ClusterConfig:
         if abs(total - 1.0) > 1e-6:
             raise ConfigurationError(
                 f"cost table proportions must sum to 1, got {total}")
-        names = [c.name for c in self.cost_table]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate query types: {names}")
+        self._costs = {c.name: c for c in self.cost_table}
+        if len(self._costs) != len(self.cost_table):
+            raise ConfigurationError(
+                f"duplicate query types: {[c.name for c in self.cost_table]}")
         for attr in ("num_brokers", "num_shards", "broker_processes",
                      "shard_processes", "queue_cap"):
             if getattr(self, attr) < 1:
@@ -159,10 +162,7 @@ class ClusterConfig:
 
     def cost_for(self, qtype: str) -> QueryTypeCost:
         """The cost model entry for one query type (KeyError if absent)."""
-        for cost in self.cost_table:
-            if cost.name == qtype:
-                return cost
-        raise KeyError(qtype)
+        return self._costs[qtype]
 
     def weighted_shard_work(self) -> float:
         """Expected shard CPU-seconds per query across the mix."""
@@ -250,19 +250,18 @@ class _SubQuery:
     """One *logical* sub-query: settles exactly once despite retries/hedges.
 
     Physical attempts (the original issue, backed-off retries, a hedge)
-    all report through :meth:`BrokerHost._on_sub_outcome`; the first
-    success — or the last failure once the retry budget and every
-    in-flight attempt are spent — settles the logical sub-query toward
-    its round.  Late responses from the losing attempt are ignored.
+    all report through :meth:`answer`; the first success — or the last
+    failure once the retry budget and every in-flight attempt are spent —
+    settles the logical sub-query toward its round.  Late responses from
+    the losing attempt are ignored.
     """
 
-    __slots__ = ("execution", "cost", "primary", "settled", "hedged",
+    __slots__ = ("execution", "primary", "settled", "hedged",
                  "outstanding", "retries_used", "span")
 
     def __init__(self, execution: _QueryExecution,
                  primary: int) -> None:
         self.execution = execution
-        self.cost = execution.cost
         self.primary = primary
         self.settled = False
         self.hedged = False
@@ -270,30 +269,132 @@ class _SubQuery:
         self.retries_used = 0
         # Open "subquery" span (child of the round span) for a sampled
         # query; physical attempts hang off it, closed at settle.
-        self.span = None
+        self.span: Optional[Any] = None
+
+    def answer(self, ok: bool) -> None:
+        """One attempt's outcome: a shard's answer or the attempt's timeout."""
+        self.outstanding -= 1
+        if self.settled:
+            return  # another attempt already settled this sub-query
+        execution = self.execution
+        if not ok:
+            execution.broker._attempt_failed(self)
+            return
+        self.settled = True
+        if self.span is not None:
+            self.span.finish(execution.broker._clock._now)
+            self.span = None
+        execution.round_successes += 1
+        execution.pending -= 1
+        if execution.pending == 0:
+            execution.broker._merge(execution)
 
 
-class ShardHost:
-    """One shard: c-server FIFO queue under AcceptFraction (§5.4 setup)."""
+class _HostCore:
+    """The Figure-1 host brokers and shards share: admission in front of a
+    FIFO queue, engine processes behind it, and the fault hooks at both."""
+
+    policy: AdmissionPolicy
+
+    def __init__(self, sim: Simulator, config: ClusterConfig, host: str,
+                 processes: int, telemetry: Optional["Telemetry"],
+                 fault_injector: Optional["FaultInjector"]) -> None:
+        self._sim = sim
+        self._clock = sim.clock
+        self._host = host
+        self._processes = processes
+        self._idle = processes
+        self._queue_cap = config.queue_cap
+        self._telemetry = telemetry
+        self._faults = fault_injector
+        self._stall_wakeup_at: Optional[float] = None
+        self._queue: Deque[Query] = deque()
+        self.queue_view = QueueView()
+        self.ctx = HostContext(clock=sim.clock, queue=self.queue_view,
+                               parallelism=processes)
+
+    def _admit(self, query: Query, now: float) -> bool:
+        """Fault override, queue cap, policy, telemetry: True when
+        ``query`` was admitted, queued and offered to an idle engine."""
+        policy = self.policy
+        queue = self._queue
+        result: Optional[AdmissionResult] = None
+        if self._faults is not None:
+            # A blacked-out/crashed/lossy host refuses before its policy
+            # runs (the verdict is always a FAULT_INJECTED rejection).
+            result = self._faults.admission_override(query, now, self._host)
+        if result is None:
+            if len(queue) >= self._queue_cap:
+                result = AdmissionResult.reject(RejectReason.QUEUE_FULL)
+                policy.stats.record(query.qtype, result)
+            else:
+                result = policy.decide(query)
+        if self._telemetry is not None:
+            self._telemetry.on_decision(query, result, now=now,
+                                        queue_length=len(queue),
+                                        policy=policy)
+        if not result.accepted:
+            return False
+        query.enqueued_at = now
+        queue.append(query)
+        self.queue_view.on_enqueue(query.qtype)
+        policy.on_enqueued(query)
+        if self._idle:
+            self._dispatch()
+        return True
+
+    def _dispatch(self) -> None:
+        queue = self._queue
+        now = self._clock._now
+        while self._idle > 0 and queue:
+            if self._faults is not None:
+                stall_end = self._faults.stalled_until(now, self._host)
+                if stall_end is not None:
+                    # Engines frozen: defer dispatch until the stall window
+                    # closes (one wake-up per window end, not per arrival).
+                    if self._stall_wakeup_at != stall_end:
+                        self._stall_wakeup_at = stall_end
+                        self._faults.note_stall(now, self._host)
+                        self._sim.schedule_at(stall_end,
+                                              self._resume_after_stall)
+                    return
+            query = queue.popleft()
+            query.dequeued_at = now
+            self.queue_view.on_dequeue(query.qtype)
+            self.policy.on_dequeued(
+                query, now - query.enqueued_at)  # type: ignore[operator]
+            if self._telemetry is not None:
+                self._telemetry.on_dequeue(query, now=now)
+            self._idle -= 1
+            self._start(query, now)
+
+    def _resume_after_stall(self) -> None:
+        self._stall_wakeup_at = None
+        self._dispatch()
+
+    def _start(self, query: Query, now: float) -> None:
+        """Run a dequeued ``query`` on an engine process (per host type)."""
+        raise NotImplementedError
+
+
+class ShardHost(_HostCore):
+    """One shard: c-server FIFO queue under AcceptFraction (§5.4 setup).
+
+    A sub-query's :class:`Query` carries its sampled service demand in
+    ``service_time`` and the caller's answer callback in ``payload``.
+    """
 
     def __init__(self, sim: Simulator, config: ClusterConfig,
                  index: int, rng: random.Random,
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None) -> None:
-        self._sim = sim
-        self._config = config
+        super().__init__(sim, config, f"shard-{index}",
+                         config.shard_processes, telemetry, fault_injector)
         self.index = index
-        self._rng = rng
-        self._telemetry = telemetry
-        self._faults = fault_injector
-        self._host = f"shard-{index}"
-        self._stall_wakeup_at: Optional[float] = None
-        self.queue_view = QueueView()
-        self.ctx = HostContext(clock=sim.clock, queue=self.queue_view,
-                               parallelism=config.shard_processes)
+        self._gamma = config.shard_slowdown_gamma
+        self._power = config.shard_slowdown_power
         if config.shard_policy_factory is not None:
-            self.policy: AdmissionPolicy = config.shard_policy_factory(
-                self.ctx)
+            self.policy = config.shard_policy_factory(self.ctx)
         else:
             self.policy = AcceptFractionPolicy(
                 self.ctx,
@@ -301,9 +402,6 @@ class ShardHost:
                     max_utilization=config.shard_max_utilization,
                     processing_units=config.shard_processes),
                 rng=random.Random(rng.randrange(2 ** 32)))
-        self._queue: Deque[Tuple[Query, float, Callable[[bool], None]]] = (
-            deque())
-        self._idle = config.shard_processes
         self.rejected_subqueries = 0
         self.completed_subqueries = 0
         self.errored_subqueries = 0
@@ -311,7 +409,8 @@ class ShardHost:
     def offer(self, parent: Query, service_time: float,
               callback: Callable[[bool], None],
               parent_span: Optional[Any] = None) -> bool:
-        """Submit one sub-query; ``callback(ok)`` fires on the outcome.
+        """Submit one sub-query; ``callback(ok)`` fires exactly once, with
+        its outcome.
 
         Returns True when the sub-query was admitted.  A rejection invokes
         the callback immediately (the error response a real shard returns
@@ -319,105 +418,47 @@ class ShardHost:
         span) is adopted: this shard's queue/execution/rejection spans
         land under it, and the shard closes it at the attempt's outcome.
         """
-        now = self._sim.now
-        subquery = Query(qtype=parent.qtype, arrival_time=now,
-                         deadline=parent.deadline)
-        if self._telemetry is not None and parent_span is not None:
+        now = self._clock._now
+        subquery = Query(parent.qtype, now, parent.deadline, callback)
+        subquery.service_time = service_time
+        if parent_span is not None and self._telemetry is not None:
             self._telemetry.span_adopt(subquery, parent_span)
+        if self._admit(subquery, now):
+            return True
+        self.rejected_subqueries += 1
+        callback(False)
+        return False
+
+    def _start(self, subquery: Query, now: float) -> None:
+        # Load-dependent service inflation at dispatch (ClusterConfig).
+        busy = (self._processes - self._idle) / self._processes
+        service = subquery.service_time * (  # type: ignore[operator]
+            1.0 + self._gamma * busy ** self._power)
         if self._faults is not None:
-            # A blacked-out/crashed/lossy shard refuses before its policy
-            # runs; the broker sees the failure immediately and may retry
-            # elsewhere (the resilience path).
-            override = self._faults.admission_override(subquery, now,
-                                                       self._host)
-            if override is not None:
-                if self._telemetry is not None:
-                    self._telemetry.on_decision(
-                        subquery, override, now=now,
-                        queue_length=self.queue_view.length(),
-                        policy=self.policy)
-                self.rejected_subqueries += 1
-                callback(False)
-                return False
-        if self.queue_view.length() >= self._config.queue_cap:
-            result = AdmissionResult.reject(RejectReason.QUEUE_FULL)
-            self.policy.stats.record(subquery.qtype, result)
-        else:
-            result = self.policy.decide(subquery)
-        if self._telemetry is not None:
-            self._telemetry.on_decision(
-                subquery, result, now=now,
-                queue_length=self.queue_view.length(), policy=self.policy)
-        if not result.accepted:
-            self.rejected_subqueries += 1
-            callback(False)
-            return False
-        subquery.enqueued_at = now
-        self._queue.append((subquery, service_time, callback))
-        self.queue_view.on_enqueue(subquery.qtype)
-        self.policy.on_enqueued(subquery)
-        self._dispatch()
-        return True
+            service = self._faults.shape_service(service, subquery, now,
+                                                 self._host)
+            if self._faults.should_error(subquery, now, self._host):
+                self._sim._schedule_call(now + service, self._complete_error,
+                                         subquery)
+                return
+        # Handle-free scheduling: completions are never cancelled.
+        self._sim._schedule_call(now + service, self._complete, subquery)
 
-    def _dispatch(self) -> None:
-        while self._idle > 0 and self._queue:
-            if self._faults is not None:
-                stall_end = self._faults.stalled_until(self._sim.now,
-                                                       self._host)
-                if stall_end is not None:
-                    # Engines frozen: defer dispatch until the stall window
-                    # closes (one wake-up per window end, not per arrival).
-                    if self._stall_wakeup_at != stall_end:
-                        self._stall_wakeup_at = stall_end
-                        self._faults.note_stall(self._sim.now, self._host)
-                        self._sim.schedule_at(stall_end,
-                                              self._resume_after_stall)
-                    return
-            subquery, service_time, callback = self._queue.popleft()
-            now = self._sim.now
-            subquery.dequeued_at = now
-            self.queue_view.on_dequeue(subquery.qtype)
-            self.policy.on_dequeued(subquery, subquery.wait_time or 0.0)
-            if self._telemetry is not None:
-                self._telemetry.on_dequeue(subquery, now=now)
-            self._idle -= 1
-            busy_fraction = ((self._config.shard_processes - self._idle)
-                             / self._config.shard_processes)
-            slowdown = 1.0 + (self._config.shard_slowdown_gamma
-                              * busy_fraction
-                              ** self._config.shard_slowdown_power)
-            service = service_time * slowdown
-            errored = False
-            if self._faults is not None:
-                service = self._faults.shape_service(service, subquery,
-                                                     now, self._host)
-                errored = self._faults.should_error(subquery, now,
-                                                    self._host)
-            # Handle-free scheduling: completions are never cancelled, so
-            # skip the ScheduledEvent allocation and the closure.
-            self._sim._schedule_call(now + service, self._complete_entry,
-                                     (subquery, callback, errored))
+    def _complete_error(self, subquery: Query) -> None:
+        """Completion of a sub-query an injected engine fault poisoned."""
+        self._complete(subquery, True)
 
-    def _complete_entry(self, item: "Tuple[Query, Callable[[bool], None], "
-                                    "bool]") -> None:
-        subquery, callback, errored = item
-        self._complete(subquery, callback, errored)
-
-    def _resume_after_stall(self) -> None:
-        self._stall_wakeup_at = None
-        self._dispatch()
-
-    def _complete(self, subquery: Query, callback: Callable[[bool], None],
-                  errored: bool = False) -> None:
-        subquery.completed_at = self._sim.now
-        self.policy.on_completed(subquery, subquery.wait_time or 0.0,
-                                 subquery.processing_time or 0.0)
+    def _complete(self, subquery: Query, errored: bool = False) -> None:
+        now = self._clock._now
+        subquery.completed_at = now
+        dequeued = subquery.dequeued_at
+        self.policy.on_completed(
+            subquery, dequeued - subquery.enqueued_at,  # type: ignore[operator]
+            now - dequeued)  # type: ignore[operator]
         if self._telemetry is not None:
             if errored:
-                self._telemetry.span_mark_fault(subquery, "engine_error",
-                                                self._sim.now)
-            self._telemetry.on_completion(subquery, now=self._sim.now,
-                                          errored=errored)
+                self._telemetry.span_mark_fault(subquery, "engine_error", now)
+            self._telemetry.on_completion(subquery, now=now, errored=errored)
         if errored:
             # Injected engine fault: work was done, response is an error —
             # the broker treats it like a refusal (retry/degrade path).
@@ -425,11 +466,12 @@ class ShardHost:
         else:
             self.completed_subqueries += 1
         self._idle += 1
-        callback(not errored)
-        self._dispatch()
+        subquery.payload(not errored)
+        if self._queue:
+            self._dispatch()
 
 
-class BrokerHost:
+class BrokerHost(_HostCore):
     """One broker: admission (policy under test) + round-walking engines."""
 
     def __init__(self, sim: Simulator, config: ClusterConfig, index: int,
@@ -438,116 +480,64 @@ class BrokerHost:
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None,
                  resilience: Optional[ResilienceConfig] = None) -> None:
-        self._sim = sim
-        self._config = config
+        super().__init__(sim, config, f"broker-{index}",
+                         config.broker_processes, telemetry, fault_injector)
         self.index = index
         self._shards = shards
         self._metrics = metrics
         self._rng = rng
-        self._telemetry = telemetry
-        self._faults = fault_injector
         self._resilience = resilience
-        self._host = f"broker-{index}"
-        self._stall_wakeup_at: Optional[float] = None
-        self.queue_view = QueueView()
-        self.ctx = HostContext(clock=sim.clock, queue=self.queue_view,
-                               parallelism=config.broker_processes)
+        self._cost_for = config.cost_for
+        self._gamma = config.broker_slowdown_gamma
+        self._power = config.broker_slowdown_power
+        self._timeout = (resilience.subquery_timeout
+                         if resilience is not None else None)
         self.policy = policy_factory(self.ctx)
-        self._queue: Deque[Query] = deque()
-        self._idle = config.broker_processes
 
     def offer(self, query: Query) -> None:
         """Present an arriving query to this broker's admission policy."""
-        now = self._sim.now
+        now = self._clock._now
         query.arrival_time = now
-        if self._faults is not None:
-            override = self._faults.admission_override(query, now,
-                                                       self._host)
-            if override is not None:
-                if self._telemetry is not None:
-                    self._telemetry.on_decision(
-                        query, override, now=now,
-                        queue_length=self.queue_view.length(),
-                        policy=self.policy)
-                self._metrics.record_rejection(query.qtype, at_broker=True)
-                return
-        if self.queue_view.length() >= self._config.queue_cap:
-            result = AdmissionResult.reject(RejectReason.QUEUE_FULL)
-            self.policy.stats.record(query.qtype, result)
-        else:
-            result = self.policy.decide(query)
-        if self._telemetry is not None:
-            self._telemetry.on_decision(
-                query, result, now=now,
-                queue_length=self.queue_view.length(), policy=self.policy)
-        if not result.accepted:
-            self._metrics.record_rejection(query.qtype, at_broker=True)
-            return
-        query.enqueued_at = now
-        self._queue.append(query)
-        self.queue_view.on_enqueue(query.qtype)
-        self.policy.on_enqueued(query)
-        self._dispatch()
+        query.window = self._metrics.window
+        if not self._admit(query, now):
+            self._metrics.record_rejection(query, at_broker=True)
 
-    def _dispatch(self) -> None:
-        while self._idle > 0 and self._queue:
-            if self._faults is not None:
-                stall_end = self._faults.stalled_until(self._sim.now,
-                                                       self._host)
-                if stall_end is not None:
-                    if self._stall_wakeup_at != stall_end:
-                        self._stall_wakeup_at = stall_end
-                        self._faults.note_stall(self._sim.now, self._host)
-                        self._sim.schedule_at(stall_end,
-                                              self._resume_after_stall)
-                    return
-            query = self._queue.popleft()
-            query.dequeued_at = self._sim.now
-            self.queue_view.on_dequeue(query.qtype)
-            self.policy.on_dequeued(query, query.wait_time or 0.0)
-            if self._telemetry is not None:
-                self._telemetry.on_dequeue(query, now=self._sim.now)
-            self._idle -= 1
-            execution = _QueryExecution(query, self._config.cost_for(
-                query.qtype), self)
-            self._start_round(execution)
-
-    def _resume_after_stall(self) -> None:
-        self._stall_wakeup_at = None
-        self._dispatch()
+    def _start(self, query: Query, now: float) -> None:
+        self._start_round(_QueryExecution(query, self._cost_for(query.qtype),
+                                          self))
 
     # -- round protocol -----------------------------------------------------
-    def _target_shards(self, cost: QueryTypeCost) -> List[ShardHost]:
-        if cost.fanout == FANOUT_ALL:
-            return self._shards
-        return [self._shards[self._rng.randrange(len(self._shards))]]
-
     def _alternate_shard(self, avoid_index: int) -> ShardHost:
         choices = [s for s in self._shards if s.index != avoid_index]
         return choices[self._rng.randrange(len(choices))]
 
     def _start_round(self, execution: _QueryExecution) -> None:
-        targets = self._target_shards(execution.cost)
+        cost = execution.cost
+        shards = self._shards
+        targets: Sequence[ShardHost] = shards
+        if cost.fanout == FANOUT_ONE:
+            targets = (shards[self._rng.randrange(len(shards))],)
         execution.pending = len(targets)
         execution.round_successes = 0
+        now = self._clock._now
         ctx = execution.query.span_ctx
+        round_span = None
         if ctx is not None and ctx.execute is not None:
-            execution.round_span = ctx.execute.child_span(
-                "fanout_round", self._sim.now,
-                round=execution.cost.rounds - execution.rounds_left + 1,
+            round_span = execution.round_span = ctx.execute.child_span(
+                "fanout_round", now,
+                round=cost.rounds - execution.rounds_left + 1,
                 targets=len(targets))
         res = self._resilience
         hedgeable = (res is not None and res.hedge_after is not None
-                     and execution.cost.fanout == FANOUT_ONE
-                     and len(self._shards) > 1)
+                     and cost.fanout == FANOUT_ONE and len(shards) > 1)
         for shard in targets:
             sub = _SubQuery(execution, shard.index)
-            if execution.round_span is not None:
-                sub.span = execution.round_span.child_span(
-                    "subquery", self._sim.now, shard=shard.index)
+            if round_span is not None:
+                sub.span = round_span.child_span("subquery", now,
+                                                 shard=shard.index)
             self._launch(sub, shard)
             if hedgeable:
-                self._sim._schedule_call(self._sim.now + res.hedge_after,
+                self._sim._schedule_call(now + res.hedge_after,
                                          self._fire_hedge, sub)
 
     def _launch(self, sub: _SubQuery, shard: ShardHost,
@@ -563,7 +553,7 @@ class BrokerHost:
         attempt_span = None
         if sub.span is not None:
             attempt_span = sub.span.child_span(
-                label, self._sim.now, host=f"shard-{shard.index}",
+                label, self._clock._now, host=f"shard-{shard.index}",
                 shard=shard.index)
         if delay > 0.0:
             self._sim.schedule_after(
@@ -577,27 +567,29 @@ class BrokerHost:
             # A hedge won while this retry was backing off.
             sub.outstanding -= 1
             if attempt_span is not None:
-                attempt_span.finish(self._sim.now, status="cancelled")
+                attempt_span.finish(self._clock._now, status="cancelled")
             return
-        service = sub.cost.sample_subquery(self._rng)
-        res = self._resilience
-        # Per-attempt settle: the first of {shard response, timeout} wins;
-        # the loser is ignored, so a stalled shard's eventual answer cannot
-        # double-count against the sub-query's bookkeeping.
+        execution = sub.execution
+        service = execution.cost.sample_subquery(self._rng)
+        if self._timeout is None:
+            shard.offer(execution.query, service, sub.answer,
+                        parent_span=attempt_span)
+            return
+        # Settle-once per attempt: the first of {shard answer, timeout}
+        # wins and the loser is ignored, so a stalled shard's eventual
+        # answer cannot count twice against the sub-query.
         attempt_done = [False]
 
-        def on_outcome(ok: bool) -> None:
-            if attempt_done[0]:
-                return
-            attempt_done[0] = True
-            self._on_sub_outcome(sub, ok)
+        def answer(ok: bool) -> None:
+            if not attempt_done[0]:
+                attempt_done[0] = True
+                sub.answer(ok)
 
-        shard.offer(sub.execution.query, service, on_outcome,
+        shard.offer(execution.query, service, answer,
                     parent_span=attempt_span)
-        if (not attempt_done[0] and not sub.settled
-                and res is not None and res.subquery_timeout is not None):
-            self._sim._schedule_call(
-                self._sim.now + res.subquery_timeout, on_outcome, False)
+        if not attempt_done[0] and not sub.settled:
+            self._sim._schedule_call(self._clock._now + self._timeout,
+                                     answer, False)
 
     def _fire_hedge(self, sub: _SubQuery) -> None:
         if sub.settled or sub.hedged:
@@ -609,17 +601,10 @@ class BrokerHost:
         self._launch(sub, self._alternate_shard(sub.primary),
                      label="hedge")
 
-    def _on_sub_outcome(self, sub: _SubQuery, ok: bool) -> None:
-        sub.outstanding -= 1
-        if sub.settled:
-            return  # another attempt already settled this sub-query
-        if ok:
-            sub.settled = True
-            if sub.span is not None:
-                sub.span.finish(self._sim.now)
-                sub.span = None
-            self._settle_sub(sub.execution, failed=False)
-            return
+    def _attempt_failed(self, sub: _SubQuery) -> None:
+        """An attempt was refused, errored or timed out: retry it, or settle
+        the sub-query failed once no attempt is left in flight."""
+        execution = sub.execution
         res = self._resilience
         if res is not None and sub.retries_used < res.max_subquery_retries:
             # Retry after a short backoff.  fanout='one' fails over to a
@@ -629,7 +614,7 @@ class BrokerHost:
             self._metrics.retries += 1
             if self._telemetry is not None:
                 self._telemetry.on_retry()
-            if sub.cost.fanout == FANOUT_ONE and len(self._shards) > 1:
+            if execution.cost.fanout == FANOUT_ONE and len(self._shards) > 1:
                 shard = self._alternate_shard(sub.primary)
             else:
                 shard = self._shards[sub.primary]
@@ -641,43 +626,36 @@ class BrokerHost:
             return  # a hedge (or backed-off retry) is still in flight
         sub.settled = True
         if sub.span is not None:
-            sub.span.finish(self._sim.now, status="failed")
+            sub.span.finish(self._clock._now, status="failed")
             sub.span = None
-        self._settle_sub(sub.execution, failed=True)
-
-    def _settle_sub(self, execution: _QueryExecution, failed: bool) -> None:
-        if failed:
-            execution.failed = True
-        else:
-            execution.round_successes += 1
+        execution.failed = True
         execution.pending -= 1
-        if execution.pending > 0:
-            return
-        # Round finished: pay the broker-local merge cost, inflated by how
-        # busy this broker host is (CPU interference between its engines).
-        busy_fraction = ((self._config.broker_processes - self._idle)
-                         / self._config.broker_processes)
-        slowdown = 1.0 + (self._config.broker_slowdown_gamma
-                          * busy_fraction
-                          ** self._config.broker_slowdown_power)
-        overhead = execution.cost.broker_overhead * slowdown
+        if execution.pending == 0:
+            self._merge(execution)
+
+    def _merge(self, execution: _QueryExecution) -> None:
+        """Every sub-query of the round settled: pay the merge cost, inflated
+        by how busy this broker is (CPU interference between its engines)."""
+        now = self._clock._now
+        busy = (self._processes - self._idle) / self._processes
+        overhead = execution.cost.broker_overhead * (
+            1.0 + self._gamma * busy ** self._power)
         if self._faults is not None:
             overhead = self._faults.shape_service(
-                overhead, execution.query, self._sim.now, self._host)
+                overhead, execution.query, now, self._host)
         if execution.round_span is not None:
             execution.merge_span = execution.round_span.child_span(
-                "merge", self._sim.now, host=self._host)
-        self._sim._schedule_call(self._sim.now + overhead,
-                                 self._after_merge, execution)
+                "merge", now, host=self._host)
+        self._sim._schedule_call(now + overhead, self._after_merge, execution)
 
     def _after_merge(self, execution: _QueryExecution) -> None:
+        now = self._clock._now
         if execution.merge_span is not None:
-            execution.merge_span.finish(self._sim.now)
+            execution.merge_span.finish(now)
             execution.merge_span = None
         if execution.round_span is not None:
             execution.round_span.finish(
-                self._sim.now,
-                status="failed" if execution.failed else "ok")
+                now, status="failed" if execution.failed else "ok")
             execution.round_span = None
         execution.rounds_left -= 1
         if execution.failed:
@@ -699,37 +677,46 @@ class BrokerHost:
 
     def _finish(self, execution: _QueryExecution) -> None:
         query = execution.query
-        query.completed_at = self._sim.now
+        now = self._clock._now
+        query.completed_at = now
         self._idle += 1
+        telemetry = self._telemetry
         if execution.failed:
             # A shard refused a sub-query: the client sees an error, which
             # counts as a rejection attributed downstream.
-            self._metrics.record_rejection(query.qtype, at_broker=False)
-            if self._telemetry is not None:
-                self._telemetry.span_complete(query, self._sim.now,
-                                              status="failed")
+            self._metrics.record_rejection(query, at_broker=False)
+            if telemetry is not None:
+                telemetry.span_complete(query, now, status="failed")
         else:
-            self.policy.on_completed(query, query.wait_time or 0.0,
-                                     query.processing_time or 0.0)
-            if execution.degraded:
-                self._metrics.degraded += 1
-                if self._telemetry is not None:
-                    self._telemetry.on_degraded()
-                    self._telemetry.span_annotate(query, degraded=True)
-            self._metrics.record_completion(query)
-            if self._telemetry is not None:
-                self._telemetry.on_completion(query, now=self._sim.now)
-        self._dispatch()
+            dequeued = query.dequeued_at
+            self.policy.on_completed(
+                query, dequeued - query.enqueued_at,  # type: ignore[operator]
+                now - dequeued)  # type: ignore[operator]
+            self._metrics.record_completion(query, execution.degraded)
+            if telemetry is not None:
+                if execution.degraded:
+                    telemetry.on_degraded()
+                    telemetry.span_annotate(query, degraded=True)
+                telemetry.on_completion(query, now=now)
+        if self._queue:
+            self._dispatch()
 
 
 class ClusterMetrics:
-    """Cluster-wide per-type outcome samples (measured at the brokers)."""
+    """Cluster-wide per-type outcome samples (measured at the brokers).
+
+    Every :meth:`reset` opens a new measurement window; brokers stamp each
+    arrival with the open window (``Query.window``), and an outcome counts
+    only if its query carries the current stamp — a warm-up query that
+    completes or fails after the window opened is not measured.
+    """
 
     def __init__(self) -> None:
         self.responses: Dict[str, List[float]] = {}
         self.processing: Dict[str, List[float]] = {}
         self.broker_rejections: Dict[str, int] = {}
         self.shard_rejections: Dict[str, int] = {}
+        self.window = 0
         self.measure_start = 0.0
         #: Resilience counters (sub-query retries, hedges, and queries
         #: completed with partial fan-out results).
@@ -737,26 +724,33 @@ class ClusterMetrics:
         self.hedges = 0
         self.degraded = 0
 
-    def record_completion(self, query: Query) -> None:
-        if query.arrival_time < self.measure_start:
-            # Warm-up stray completing after the measurement window opened.
+    def record_completion(self, query: Query, degraded: bool = False) -> None:
+        """A query was served (``degraded``: from partial fan-out)."""
+        if query.window != self.window:
             return
+        if degraded:
+            self.degraded += 1
         qtype = query.qtype
         self.responses.setdefault(qtype, []).append(
             query.response_time or 0.0)
         self.processing.setdefault(qtype, []).append(
             query.processing_time or 0.0)
 
-    def record_rejection(self, qtype: str, at_broker: bool) -> None:
+    def record_rejection(self, query: Query, at_broker: bool) -> None:
+        """A query was refused by its broker or failed downstream."""
+        if query.window != self.window:
+            return
         bucket = (self.broker_rejections if at_broker
                   else self.shard_rejections)
-        bucket[qtype] = bucket.get(qtype, 0) + 1
+        bucket[query.qtype] = bucket.get(query.qtype, 0) + 1
 
     def reset(self, now: float = 0.0) -> None:
+        """Open the next measurement window at ``now`` (end of warm-up)."""
         self.responses.clear()
         self.processing.clear()
         self.broker_rejections.clear()
         self.shard_rejections.clear()
+        self.window += 1
         self.measure_start = now
         self.retries = 0
         self.hedges = 0
@@ -783,40 +777,30 @@ class ClusterMetrics:
                       | set(self.shard_rejections))
 
     def build_type_stats(self) -> Dict[str, TypeStats]:
-        stats: Dict[str, TypeStats] = {}
-        for qtype in self._measured_types():
-            responses = self.responses.get(qtype, [])
-            procs = self.processing.get(qtype, [])
-            rejected = (self.broker_rejections.get(qtype, 0)
-                        + self.shard_rejections.get(qtype, 0))
-            stats[qtype] = TypeStats(
-                qtype=qtype,
-                completed=len(responses),
-                rejected=rejected,
-                response=percentiles(responses, REPORT_PERCENTILES),
-                processing=percentiles(procs, REPORT_PERCENTILES),
-                response_mean=mean(responses),
-                processing_mean=mean(procs),
-            )
-        return stats
+        return {qtype: self._pooled_stats(qtype, [qtype])
+                for qtype in self._measured_types()}
 
     def build_overall_stats(self) -> TypeStats:
-        pooled_rt: List[float] = []
-        pooled_pt: List[float] = []
+        return self._pooled_stats("ALL", self._measured_types())
+
+    def _pooled_stats(self, name: str, qtypes: List[str]) -> TypeStats:
+        """One report row over the samples of ``qtypes``, pooled in order."""
+        responses: List[float] = []
+        procs: List[float] = []
         rejected = 0
-        for qtype in self._measured_types():
-            pooled_rt.extend(self.responses.get(qtype, []))
-            pooled_pt.extend(self.processing.get(qtype, []))
+        for qtype in qtypes:
+            responses.extend(self.responses.get(qtype, []))
+            procs.extend(self.processing.get(qtype, []))
             rejected += (self.broker_rejections.get(qtype, 0)
                          + self.shard_rejections.get(qtype, 0))
         return TypeStats(
-            qtype="ALL",
-            completed=len(pooled_rt),
+            qtype=name,
+            completed=len(responses),
             rejected=rejected,
-            response=percentiles(pooled_rt, REPORT_PERCENTILES),
-            processing=percentiles(pooled_pt, REPORT_PERCENTILES),
-            response_mean=mean(pooled_rt),
-            processing_mean=mean(pooled_pt),
+            response=percentiles(responses, REPORT_PERCENTILES),
+            processing=percentiles(procs, REPORT_PERCENTILES),
+            response_mean=mean(responses),
+            processing_mean=mean(procs),
         )
 
 
@@ -941,23 +925,11 @@ def run_cluster_simulation(config: ClusterConfig,
                                fault_injector=fault_injector,
                                resilience=resilience)
     arrival_rng = random.Random(seed)
-    cumulative: List[float] = []
-    running = 0.0
-    for cost in config.cost_table:
-        running += cost.proportion
-        cumulative.append(running)
+    cumulative = list(accumulate(cost.proportion for cost in config.cost_table))
     cumulative[-1] = 1.0
     names = [cost.name for cost in config.cost_table]
 
     offered = 0
-    measure_start = [0.0]
-
-    def next_query(now: float) -> Query:
-        draw = arrival_rng.random()
-        idx = 0
-        while cumulative[idx] < draw:
-            idx += 1
-        return Query(qtype=names[idx], arrival_time=now)
 
     def arrive(_arg: object = None) -> None:
         # ``_arg`` is unused; taking one parameter lets arrivals chain on
@@ -967,10 +939,11 @@ def run_cluster_simulation(config: ClusterConfig,
         if offered == warmup_queries + 1:
             # Open the measurement window before the first measured query.
             cluster.reset_measurement(sim.now)
-            measure_start[0] = sim.now
             if fault_injector is not None:
                 fault_injector.arm(sim.now)
-        cluster.offer(next_query(sim.now))
+        # The first type whose cumulative share reaches the draw.
+        qtype = names[bisect_left(cumulative, arrival_rng.random())]
+        cluster.offer(Query(qtype=qtype, arrival_time=sim.now))
         if offered < total:
             gap = arrival_rng.expovariate(rate_qps)
             sim._schedule_call(sim.now + gap, arrive, None)
@@ -983,7 +956,7 @@ def run_cluster_simulation(config: ClusterConfig,
     return ClusterReport(
         policy_name=cluster.brokers[0].policy.name,
         rate_qps=rate_qps,
-        duration=sim.now - measure_start[0],
+        duration=sim.now - metrics.measure_start,
         per_type=metrics.build_type_stats(),
         overall=metrics.build_overall_stats(),
         broker_rejections=sum(metrics.broker_rejections.values()),

@@ -1,15 +1,19 @@
 """Tests for the event-driven LIquid cluster model (§5.4 substrate)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (AlwaysAcceptPolicy, AlwaysRejectPolicy,
                         BouncerConfig, BouncerPolicy, LatencySLO,
-                        SLORegistry)
+                        MaxQueueLengthPolicy, SLORegistry)
 from repro.exceptions import ConfigurationError
 from repro.liquid import (FANOUT_ALL, FANOUT_ONE, ClusterConfig,
                           QueryTypeCost, linkedin_cost_table,
                           run_cluster_simulation)
-from repro.liquid.cluster_sim import LiquidClusterSim
+from repro.liquid.cluster_sim import LiquidClusterSim, ResilienceConfig
 from repro.sim.simulator import Simulator
 
 
@@ -219,3 +223,87 @@ class TestClusterExecution:
             stats = report.stats_for(qtype)
             if stats.completed:
                 assert stats.response.get(50.0) <= 0.015 * 1.3
+
+
+def one_slot_shards(ctx):
+    return MaxQueueLengthPolicy(ctx, 1)
+
+
+class TestWarmupStragglers:
+    """A warm-up query that fails downstream after the measurement window
+    opened is not a measured outcome, like one that completes."""
+
+    @pytest.mark.parametrize("rate", [20_000.0, 40_000.0])
+    def test_downstream_failures_of_warmup_queries_are_not_counted(
+            self, rate):
+        config = ClusterConfig(cost_table=linkedin_cost_table(),
+                               shard_processes=8,
+                               shard_policy_factory=one_slot_shards, seed=7)
+        report = run_cluster_simulation(config, accept_all, rate_qps=rate,
+                                        num_queries=4000,
+                                        warmup_queries=4000, seed=3)
+        assert report.shard_rejections > 0
+        assert report.overall.completed + report.overall.rejected == 4000
+
+
+def _run_capturing_reset(config, **kwargs):
+    """Run the driver, remembering the cluster and, per shard, the
+    sub-queries decided in warm-up but still queued or running when the
+    measurement window opened."""
+    seen = {}
+    original = LiquidClusterSim.reset_measurement
+
+    def spy(cluster, now=0.0):
+        seen["cluster"] = cluster
+        seen["carried"] = [
+            shard.queue_view.length()
+            + config.shard_processes - shard._idle
+            for shard in cluster.shards]
+        original(cluster, now)
+
+    with mock.patch.object(LiquidClusterSim, "reset_measurement", spy):
+        report = run_cluster_simulation(config, accept_all, **kwargs)
+    return report, seen["cluster"], seen["carried"]
+
+
+_SHARD_POLICIES = {
+    "accept-fraction": None,
+    "maxql-1": one_slot_shards,
+    "always-reject": lambda ctx: AlwaysRejectPolicy(),
+}
+
+
+class TestConservation:
+    """No measured query and no sub-query is lost or counted twice, and
+    every host drains to empty."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_queries=st.integers(min_value=1, max_value=300),
+           warmup=st.integers(min_value=0, max_value=300),
+           rate=st.sampled_from([200.0, 1500.0, 4000.0, 9000.0]),
+           seed=st.integers(min_value=0, max_value=1000),
+           resilient=st.booleans(),
+           shard_policy=st.sampled_from(sorted(_SHARD_POLICIES)))
+    def test_every_query_and_subquery_is_accounted(
+            self, num_queries, warmup, rate, seed, resilient, shard_policy):
+        config = tiny_config(
+            shard_policy_factory=_SHARD_POLICIES[shard_policy])
+        report, cluster, carried = _run_capturing_reset(
+            config, rate_qps=rate, num_queries=num_queries,
+            warmup_queries=warmup, seed=seed,
+            resilience=ResilienceConfig() if resilient else None)
+        overall = report.overall
+        assert overall.rejected == (report.broker_rejections
+                                    + report.shard_rejections)
+        assert overall.completed + overall.rejected == num_queries
+        for shard, before in zip(cluster.shards, carried):
+            decided = shard.policy.stats.totals().received
+            assert decided + before == (shard.completed_subqueries
+                                        + shard.errored_subqueries
+                                        + shard.rejected_subqueries)
+        assert cluster._sim.pending == 0
+        for host, processes in (
+                [(s, config.shard_processes) for s in cluster.shards]
+                + [(b, config.broker_processes) for b in cluster.brokers]):
+            assert host.queue_view.length() == 0
+            assert host._idle == processes

@@ -13,11 +13,14 @@ here, with the subject:
   pool (``be3a321``, where that commit's own tests held all of those arms
   to one another): three end-to-end report fingerprints and a digest of
   the seeded arrival stream, in ``tests/golden/event_engine.json``.
-  ``python tests/test_event_engine.py`` prints the document the current
-  tree produces — re-record only for a change *meant* to alter seeded
-  outcomes.
+  Three more cluster cells (no resilience; faults; Bouncer on the shards)
+  were recorded at ``781dcdd``, before the cluster model's sub-query
+  lifecycle was rebuilt.  ``python tests/test_event_engine.py`` prints
+  the document the current tree produces — re-record only for a change
+  *meant* to alter seeded outcomes.
 """
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -338,17 +341,104 @@ def _cluster_cell():
         attainment_threshold=0.05)
 
 
+def _cluster_plain_cell():
+    """The referee's ``cluster_overload`` setup (Bouncer + allowance at the
+    brokers, 36k qps) at test scale: no resilience, no faults."""
+    from repro.bench.experiments import (cluster_config, cluster_slos,
+                                         make_bouncer_aa)
+    from repro.liquid import run_cluster_simulation
+
+    return run_cluster_simulation(
+        cluster_config(seed=7), make_bouncer_aa(slos=cluster_slos(), seed=108),
+        rate_qps=36_000.0, num_queries=3000, warmup_queries=6000, seed=7,
+        attainment_threshold=0.05)
+
+
+def _cluster_faults_cell():
+    """Shard engine errors, shard and broker stalls, a shard blackout and
+    broker queue drops under the default resilience: errored completions,
+    both hosts' stall resumes, timeouts racing a frozen shard's answer."""
+    from repro.bench.experiments import (cluster_config, cluster_slos,
+                                         make_bouncer_aa)
+    from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+    from repro.liquid import run_cluster_simulation
+    from repro.liquid.cluster_sim import ResilienceConfig
+
+    plan = FaultPlan("golden", 3, (
+        FaultSpec(FaultKind.ERROR, start=0.0, duration=0.05,
+                  target="shard-*", probability=0.1),
+        FaultSpec(FaultKind.ENGINE_STALL, start=0.02, duration=0.015,
+                  target="shard-1"),
+        FaultSpec(FaultKind.ENGINE_STALL, start=0.06, duration=0.01,
+                  target="broker-0"),
+        FaultSpec(FaultKind.BLACKOUT, start=0.07, duration=0.01,
+                  target="shard-2"),
+        FaultSpec(FaultKind.QUEUE_DROP, start=0.0, duration=0.03,
+                  target="broker-1", probability=0.3),
+    ))
+    return run_cluster_simulation(
+        cluster_config(seed=5), make_bouncer_aa(slos=cluster_slos()),
+        rate_qps=30_000.0, num_queries=3000, warmup_queries=6000, seed=13,
+        fault_injector=FaultInjector(plan), resilience=ResilienceConfig(),
+        attainment_threshold=0.05)
+
+
+def _cluster_shard_bouncer_cell():
+    """Bouncer at the brokers *and* the shards (the §5.6 pairing), with
+    shard work scaled up so both tiers reject."""
+    from repro.bench.experiments import (cluster_slos, make_bouncer,
+                                         make_bouncer_aa)
+    from repro.core import LatencySLO, SLORegistry
+    from repro.liquid import ClusterConfig, linkedin_cost_table
+    from repro.liquid import run_cluster_simulation
+
+    table = linkedin_cost_table(work_scale=1.5)
+    shard_slos = SLORegistry.uniform(LatencySLO.from_ms(p50=3, p90=8),
+                                     [c.name for c in table])
+    config = ClusterConfig(cost_table=table, shard_processes=16, seed=9,
+                           shard_policy_factory=make_bouncer(slos=shard_slos))
+    return run_cluster_simulation(
+        config, make_bouncer_aa(slos=cluster_slos()), rate_qps=30_000.0,
+        num_queries=3000, warmup_queries=6000, seed=17,
+        attainment_threshold=0.05)
+
+
 _CELLS = {"fig06": _fig06_cell, "burst4": _burst4_cell,
-          "cluster": _cluster_cell}
+          "cluster": _cluster_cell, "cluster_plain": _cluster_plain_cell,
+          "cluster_faults": _cluster_faults_cell,
+          "cluster_shard_bouncer": _cluster_shard_bouncer_cell}
+
+
+#: The only report fields a cell may move away from its recorded value:
+#: warm-up queries that failed downstream or were served degraded after
+#: the measurement window opened used to be counted as measured outcomes.
+#: The golden's ``straggler_fix`` section lists, per cell, each moved
+#: field's recorded (parent) value next to its value now.
+_STRAGGLER_FIELDS = ("rejected", "shard_rejections", "degraded")
+
+
+def _expected_fingerprint(golden, cell):
+    expected = copy.deepcopy(golden["reports"][cell])
+    for path, change in golden["straggler_fix"].get(cell, {}).items():
+        *parents, leaf = path.split(".")
+        assert leaf in _STRAGGLER_FIELDS, path
+        node = expected
+        for key in parents:
+            node = node[key]
+        assert node[leaf] == change["parent"], path
+        node[leaf] = change["now"]
+    return expected
 
 
 class TestEndToEndReportEquality:
-    """Seeded runs reproduce the parent commit's reports bit for bit."""
+    """Seeded runs reproduce the recorded reports bit for bit, apart from
+    the straggler fields named above."""
 
     @pytest.mark.parametrize("cell", sorted(_CELLS))
     def test_cell_matches_golden_fingerprint(self, cell):
         golden = json.loads(GOLDEN_PATH.read_text())
-        assert _report_fingerprint(_CELLS[cell]()) == golden["reports"][cell]
+        assert (_report_fingerprint(_CELLS[cell]())
+                == _expected_fingerprint(golden, cell))
 
 
 def current_document():
