@@ -131,8 +131,7 @@ def test_overhead_bouncer_with_full_tracer(benchmark):
 # then on_decision/on_dequeue/on_completion (Figure 1's points 1/2/3) —
 # so every span a query opens is also closed inside the measured region.
 # The spans row against the plain lifecycle row isolates what opening,
-# transitioning, and finishing the root/queue_wait/execute spans costs;
-# ``repro bench`` gates the same delta at the production sampling rate.
+# transitioning, and finishing the root/queue_wait/execute spans costs.
 
 def _bench_lifecycle(benchmark, telemetry, name, note):
     policy, clock = warm_policy(make_bouncer(slos=cluster_slos()))

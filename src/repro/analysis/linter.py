@@ -40,9 +40,8 @@ DEFAULT_EXCLUDE: Tuple[str, ...] = ("*/analysis_fixtures/*",)
 #: does not override them.  ``core/clock.py`` is the one module allowed to
 #: read the wall clock — it *implements* the injected ``Clock``.
 DEFAULT_ALLOW_PATHS: Mapping[str, Tuple[str, ...]] = {
-    # clock.py is the sanctioned wall-clock boundary; the perf harness
-    # legitimately measures wall time (that is its whole job).
-    "no-wall-clock": ("*/repro/core/clock.py", "*/repro/bench/perf.py"),
+    # clock.py is the sanctioned wall-clock boundary.
+    "no-wall-clock": ("*/repro/core/clock.py",),
     # Tests open handles to assert on intermediate open-span state.
     "span-must-finish": ("*/tests/*",),
 }

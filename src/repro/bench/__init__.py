@@ -9,20 +9,9 @@ from .experiments import (CLUSTER_RATES_SCALED, CLUSTER_SCALE,
                           make_maxqwt, simulation_mix,
                           simulation_policy_lineup, simulation_slos,
                           starvation_demo_mix)
-from .perf import (BENCH_ID, SCALES, BenchScale, check_baseline,
-                   render_summary, run_bench, run_parallel_experiments,
-                   write_results)
 from .tables import format_series, format_table, publish, results_dir
 
 __all__ = [
-    "BENCH_ID",
-    "BenchScale",
-    "SCALES",
-    "check_baseline",
-    "render_summary",
-    "run_bench",
-    "run_parallel_experiments",
-    "write_results",
     "CLUSTER_RATES_SCALED",
     "CLUSTER_SCALE",
     "SIM_PARALLELISM",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Ten commands:
+Eight commands:
 
 * ``simulate`` — run the §5.3 single-host study for one policy across one
   or more load factors and print the per-type outcome table.
@@ -20,11 +20,6 @@ Ten commands:
   estimates to the measured wait/response times and print per-type
   signed-error/APE/attainment tables plus the exclusive rejection
   attribution by Algorithm 1 term.
-* ``bench``    — run the performance microbenchmarks (decisions/sec per
-  policy including the Bouncer fast-path speedup, histogram and simulator
-  throughput) plus the parallel experiment runner, emitting machine-
-  readable JSON with an optional regression gate against a committed
-  baseline (see ``docs/performance.md``).
 * ``lint``     — run the project-aware static analysis (determinism,
   clock, RNG, lock and concurrency invariants; see
   ``docs/static_analysis.md``), with ``--baseline`` to fail only on new
@@ -136,36 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "paper's p90 objective)")
     chaos.add_argument("--out", default=None,
                        help="also write the report to this file")
-
-    bench = sub.add_parser(
-        "bench",
-        help="performance microbenchmarks + parallel experiment runner "
-             "(docs/performance.md)")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced iteration counts (CI scale)")
-    bench.add_argument("--out", default="BENCH_01.json",
-                       help="aggregate JSON output path")
-    bench.add_argument("--results-dir", default=None,
-                       help="per-bench detail directory (default: "
-                            "benchmarks/results/)")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="parallel runner worker processes "
-                            "(0 = auto, 1 = sequential)")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline JSON to gate against (exit 1 on "
-                            "throughput regression)")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="allowed fractional drop vs the baseline "
-                            "(default 0.30)")
-    bench.add_argument("--batch-out", default=None,
-                       help="also run the BENCH_02 batch-admission burst "
-                            "sweep (decide_many at bursts 1/8/64/256 vs "
-                            "the scalar decide loop) and write its JSON "
-                            "here")
-    bench.add_argument("--batch-baseline", default=None,
-                       help="BENCH_02 baseline JSON to gate batch-64 "
-                            "decide_many throughput against (implies the "
-                            "burst sweep; exit 1 on regression)")
 
     trace = sub.add_parser(
         "trace-report",
@@ -332,61 +297,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report + "\n")
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf harness; optionally gate against a committed baseline."""
-    import json
-
-    from .bench.perf import (DEFAULT_TOLERANCE, SCALES, check_baseline,
-                             check_batch_baseline, render_batch_summary,
-                             render_summary, run_batch_bench, run_bench,
-                             write_batch_results, write_results)
-    from .bench.tables import results_dir
-
-    mode = "quick" if args.quick else "full"
-    document = run_bench(SCALES[mode], jobs=args.jobs, mode=mode)
-    out_dir = args.results_dir if args.results_dir else str(results_dir())
-    written = write_results(document, args.out, results_dir=out_dir)
-    print(render_summary(document))
-    batch_document = None
-    if args.batch_out or args.batch_baseline:
-        batch_document = run_batch_bench(SCALES[mode], mode=mode)
-        written += write_batch_results(batch_document,
-                                       args.batch_out or "BENCH_02.json")
-        print()
-        print(render_batch_summary(batch_document))
-    print()
-    for path in written:
-        print(f"wrote {path}")
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
-
-    def gate(baseline_path: str, current: Any, checker: Any,
-             label: str) -> int:
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 1
-        problems = checker(current, baseline, tolerance=tolerance)
-        if problems:
-            for problem in problems:
-                print(f"bench: REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"{label} baseline check passed ({baseline_path}, "
-              f"tolerance {tolerance:.0%})")
-        return 0
-
-    failed = 0
-    if args.baseline:
-        failed |= gate(args.baseline, document, check_baseline, "BENCH_01")
-    if args.batch_baseline:
-        failed |= gate(args.batch_baseline, batch_document,
-                       check_batch_baseline, "BENCH_02")
-    return failed
 
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
@@ -646,8 +556,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_cluster(args)
         if args.command == "chaos":
             return cmd_chaos(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         if args.command == "trace-report":
             return cmd_trace_report(args)
         if args.command == "spans":

@@ -39,7 +39,7 @@ from ..exceptions import ConfigurationError
 from .context import HostContext
 from .dual_buffer import DualBufferHistogram, SlidingWindowHistogram
 from .histogram import DEFAULT_LAYOUT, BucketLayout, HistogramSnapshot
-from .policy import AdmissionPolicy, DecisionCallback
+from .policy import AdmissionPolicy
 from .slo import LatencySLO, SLORegistry
 from .types import AdmissionResult, Decision, Query, RejectReason
 
@@ -95,16 +95,6 @@ class BouncerConfig:
         are ``histogram_interval`` long.
     layout:
         Optional shared histogram bucket layout.
-    fast_path:
-        Enable the decision fast path: epoch-cached snapshot statistics and
-        the incrementally maintained Eq. 2 occupancy state (see
-        docs/performance.md).  Decisions are bit-identical with it on or
-        off; ``False`` keeps the naive recompute-everything path, which the
-        perf harness uses as its baseline.
-    debug_check:
-        Cross-check every fast-path wait estimate against the naive
-        recomputation and raise ``AssertionError`` on any disagreement.
-        Debugging/property-test aid; meaningful only with ``fast_path``.
     """
 
     slos: SLORegistry
@@ -116,8 +106,6 @@ class BouncerConfig:
     histogram_mode: str = HISTOGRAMS_DUAL_BUFFER
     histogram_window: float = 5.0
     layout: Optional[BucketLayout] = None
-    fast_path: bool = True
-    debug_check: bool = False
 
     def __post_init__(self) -> None:
         if self.decision_mode not in (DECISION_ANY, DECISION_ALL):
@@ -130,13 +118,15 @@ class BouncerConfig:
                 f"histogram_mode must be {HISTOGRAMS_DUAL_BUFFER!r} or "
                 f"{HISTOGRAMS_SLIDING_WINDOW!r}, got "
                 f"{self.histogram_mode!r}")
-        if self.histogram_window < self.histogram_interval:
+        # Comparisons are written so that NaN fails them.
+        if not 0 < self.histogram_interval < math.inf:
             raise ConfigurationError(
-                "histogram_window must be >= histogram_interval")
-        if self.min_samples < 0:
-            raise ConfigurationError("min_samples must be >= 0")
-        if self.histogram_interval <= 0:
-            raise ConfigurationError("histogram_interval must be > 0")
+                "histogram_interval must be finite and > 0")
+        if not self.histogram_interval <= self.histogram_window < math.inf:
+            raise ConfigurationError(
+                "histogram_window must be finite and >= histogram_interval")
+        if not isinstance(self.min_samples, int) or not self.min_samples >= 0:
+            raise ConfigurationError("min_samples must be an integer >= 0")
 
 
 class BouncerEstimate:
@@ -166,9 +156,9 @@ class BouncerEstimate:
                 f"cold_start={self.cold_start!r})")
 
 
-#: Dictionary key for the general histogram in the fast path's per-backend
-#: caches.  Starts with a NUL byte, which cannot appear in a real query-type
-#: string arriving over any of the repo's frontends.
+#: Dictionary key for the general histogram in the per-backend caches.
+#: Starts with a NUL byte, which cannot appear in a real query-type string
+#: arriving over any of the repo's frontends.
 _GENERAL_KEY = "\x00general"
 
 
@@ -208,18 +198,15 @@ class _Eq2Term:
         self.epoch = epoch
 
 
-class _BatchEntry:
-    """Per-type decision inputs shared across one ``decide_many`` batch.
+class _TypeEntry:
+    """One type's Eqs. 3-4 inputs: its SLO, whether the Appendix A
+    cold-start fallback applies, and the percentile values (``None`` when
+    nothing is measured anywhere yet).
 
-    Within a batch the clock is frozen and no completions are recorded, so
-    after the first query of a type touches the snapshots (triggering any
-    due lazy publish — the same instant the scalar loop would), every later
-    query of that type sees identical inputs.  ``proto_*`` memoizes the
-    verdict against the wait estimate it was computed from; queue
-    mutations between queries (host callbacks enqueueing accepts) change
-    the wait, which invalidates the memo by value.  The estimates are not
-    memoized: every result owns a dict, and building one costs what
-    copying one would.
+    ``proto_*`` memoizes the verdict against the wait estimate it was
+    computed from; a queue change moves the wait, which invalidates the
+    memo by value.  The estimates are not memoized: every result owns a
+    dict, and building one costs what copying one would.
     """
 
     __slots__ = ("slo", "cold", "values", "proto_wait", "proto_accept")
@@ -234,11 +221,10 @@ class _BatchEntry:
 
 
 class FastPathStats:
-    """Counters describing fast-path effectiveness (telemetry surface).
+    """Counters describing the estimator caches (telemetry surface).
 
-    ``batch_calls`` / ``batch_queries`` count ``decide_many`` and
-    ``decide_types`` invocations and the queries they carried (mean burst
-    size is their ratio); they tick regardless of ``fast_path`` mode.
+    ``batch_calls`` / ``batch_queries`` count ``decide_types`` invocations
+    and the queries they carried (mean batch size is their ratio).
     """
 
     __slots__ = ("cache_hits", "cache_misses", "eq2_recomputes",
@@ -271,8 +257,6 @@ class BouncerPolicy(AdmissionPolicy):
         # never trusted even with min_samples=0 (both Eq. 2 and the
         # percentile path use this same bound).
         self._min_trusted = max(config.min_samples, 1)
-        self._fast = config.fast_path
-        self._debug = config.debug_check
         self.fast_path_stats = FastPathStats()
         # Eq. 2 term table (array-of-structs: count + cached mean per
         # queued type).  Insertion order mirrors the queue view's counts
@@ -290,13 +274,12 @@ class BouncerPolicy(AdmissionPolicy):
         # trigger, or a publish boundary — exact because it is the very
         # value the dot product produced, merely reused.
         self._wait_cache: Optional[float] = None
-        # Scalar-path decision entries, one per type, kept warm across
-        # decisions.  Validity is proven by object identity on every use
-        # (same SLO object, same memoized percentile-values list), so no
+        # Decision entries, one per type, kept warm across decisions.
+        # Validity is proven by object identity on every use (same SLO
+        # object, same memoized percentile-values list), so no
         # invalidation hook is needed.
-        self._scalar_entries: Dict[str, _BatchEntry] = {}
-        if self._fast:
-            ctx.queue.subscribe(self._on_queue_event)
+        self._entries: Dict[str, _TypeEntry] = {}
+        ctx.queue.subscribe(self._on_queue_event)
 
     # -- construction helpers -------------------------------------------
     def _new_histogram(self) -> HistogramBackend:
@@ -405,65 +388,30 @@ class BouncerPolicy(AdmissionPolicy):
     def estimate_wait_mean(self) -> float:
         """Eq. 2: expected mean queue wait for a newly accepted query.
 
-        With the fast path enabled, the per-type occupancy and means are
-        maintained incrementally (queue-view subscription + publish-epoch
-        invalidation) and this reduces to one multiply-add per *distinct*
-        queued type, instead of a histogram-snapshot walk per queued type.
-        Both paths are bit-identical; ``debug_check`` verifies that.
+        The per-type occupancy and means are maintained incrementally
+        (queue-view subscription + publish-epoch invalidation), so this is
+        one multiply-add per *distinct* queued type, and a memo hit while
+        neither the queue nor any term has changed.  The naive walk over
+        the queue view that it must equal bit for bit is the test oracle
+        (``tests/bouncer_oracle.py``).
         """
-        if not self._fast:
-            return self._estimate_wait_mean_naive()
-        wait = self._fast_wait_mean()
-        if self._debug:
-            naive = self._estimate_wait_mean_naive()
-            if naive != wait:
-                raise AssertionError(
-                    f"fast-path Eq. 2 diverged: fast={wait!r} "
-                    f"naive={naive!r}")
-        return wait
-
-    def _estimate_wait_mean_naive(self) -> float:
-        """The original recompute-everything Eq. 2 (fast-path baseline)."""
-        occupancy = self._ctx.queue.occupancy()
-        if not occupancy:
-            return 0.0
-        general_mean: Optional[float] = None
-        total = 0.0
-        for qtype, count in occupancy.items():
-            snap = self._histogram_for(qtype).snapshot()
-            if snap.count >= self._min_trusted:
-                mean = snap.mean()
-            else:
-                if general_mean is None:
-                    general_mean = self._general.snapshot().mean()
-                mean = general_mean
-            total += count * mean
-        return total / self._ctx.parallelism
-
-    def _fast_wait_mean(self) -> float:
-        """Eq. 2 from the incrementally maintained term table."""
         if not self._terms:
             return 0.0
-        now = self._ctx.clock.now()
-        if (self._sum_dirty or now >= self._next_due
-                or self._pending_terms):
+        if (self._sum_dirty or self._pending_terms
+                or self._ctx.clock.now() >= self._next_due):
             self._refresh_terms()
         if self._watch:
             self._service_watch()
             if self._sum_dirty:
                 self._refresh_terms()
-        if self._wait_cache is not None:
-            # No term and no count has changed since the last computation
-            # (every mutation path clears the memo): reuse it verbatim.
-            return self._wait_cache
-        total = 0.0
-        for term in self._terms.values():
-            mean = term.mean
-            if mean is None:  # pragma: no cover - refresh fills every mean
-                raise AssertionError("Eq. 2 refresh skipped a queued type")
-            total += term.count * mean
-        wait = total / self._ctx.parallelism
-        self._wait_cache = wait
+        wait = self._wait_cache
+        if wait is None:
+            # Every mutation path clears the memo; the refresh above fills
+            # every term's mean.
+            total = 0.0
+            for term in self._terms.values():
+                total += term.count * term.mean  # type: ignore[operator]
+            wait = self._wait_cache = total / self._ctx.parallelism
         return wait
 
     def estimate(self, qtype: str) -> BouncerEstimate:
@@ -474,7 +422,7 @@ class BouncerPolicy(AdmissionPolicy):
         compared against is the catch-all default.
         """
         wait_mean = self.estimate_wait_mean()
-        entry = self._batch_entry(qtype)
+        entry = self._entry(qtype)
         estimate = BouncerEstimate(qtype=qtype, wait_mean=wait_mean,
                                    slo=entry.slo, cold_start=entry.cold)
         if entry.values is None:
@@ -488,16 +436,25 @@ class BouncerPolicy(AdmissionPolicy):
             estimate.response[p] = wait_mean + value
         return estimate
 
-    def _batch_entry(self, qtype: str) -> _BatchEntry:
-        """Resolve one type's decision inputs (Appendix A fallback applied).
+    def _entry(self, qtype: str) -> _TypeEntry:
+        """The arriving type's Eqs. 3-4 inputs, Appendix A fallback applied.
 
-        This is the snapshot-touching half of :meth:`estimate`; callers
-        must compute the Eq. 2 wait *before* calling it, preserving the
-        scalar path's touch order (wait walk first, then the arriving
-        type's histograms).  ``values is None`` encodes the empty-snapshot
-        leniency case.
+        Callers compute the Eq. 2 wait *first*: the snapshot touches here
+        follow Eq. 2's, the order the naive walk makes them in.  Percentile
+        values are memoized per publish epoch.  A touch may itself publish
+        a new view (e.g. an externally forced swap); if the arriving type
+        backs a term of the cached Eq. 2 sum with a different epoch, the
+        sum is marked dirty so the *next* estimate refreshes it.  (Time-
+        and bootstrap-driven publishes are caught before this point by
+        ``_next_due`` and the bootstrap watch; this is a backstop for
+        out-of-band mutation.)  The entry is kept warm per type while its
+        inputs are the very same objects, so its verdict memo carries
+        across decisions.
         """
-        own = self._histogram_for(qtype).snapshot()
+        hist = self._hists.get(qtype)
+        if hist is None:
+            hist = self._hists[qtype] = self._new_histogram()
+        own = hist.snapshot()
         cold = own.count < self._min_trusted
         if cold:
             snap = self._general.snapshot()
@@ -505,49 +462,38 @@ class BouncerPolicy(AdmissionPolicy):
         else:
             snap = own
             slo = self._slos.for_type(qtype)
-        percentiles = slo.percentiles
-        values: Optional[List[float]]
-        if snap.is_empty:
-            values = None
-        elif self._fast:
-            values = self._fast_percentiles(qtype, own, cold, snap,
-                                            percentiles)
-        else:
-            values = snap.percentiles(percentiles)
-        return _BatchEntry(slo, cold, values)
-
-    def _fast_percentiles(self, qtype: str, own: HistogramSnapshot,
-                          cold: bool, snap: HistogramSnapshot,
-                          percentiles: Sequence[float]) -> List[float]:
-        """Epoch-cached ``snap.percentiles`` plus staleness bookkeeping.
-
-        The snapshot touches above may themselves have published a new
-        view (e.g. an externally forced swap); if the arriving type backs a
-        term of the cached Eq. 2 sum with a different epoch, mark the sum
-        dirty so the *next* estimate refreshes it.  (The time- and
-        bootstrap-driven publishes are already caught before this point by
-        ``_next_due`` / the bootstrap watch, so this is a backstop for
-        out-of-band mutation.)
-        """
-        term = self._terms.get(qtype)
-        if term is not None and term.mean is not None:
-            if term.used_general:
-                if own.count >= self._min_trusted:
+        values: Optional[List[float]] = None
+        if not snap.is_empty:
+            term = self._terms.get(qtype)
+            if term is not None and term.mean is not None:
+                if term.used_general:
+                    if not cold:
+                        self._sum_dirty = True
+                elif term.epoch != own.epoch:
                     self._sum_dirty = True
-            elif term.epoch != own.epoch:
+            if (cold and self._general_deps
+                    and snap.epoch != self._general_epoch_used):
                 self._sum_dirty = True
-        if (cold and self._general_deps
-                and snap.epoch != self._general_epoch_used):
-            self._sum_dirty = True
-        entry = self._stat_entry(_GENERAL_KEY if cold else qtype, snap)
-        ptuple = tuple(percentiles)
-        values = entry.percentiles.get(ptuple)
-        if values is None:
-            values = snap.percentiles(percentiles)
-            entry.percentiles[ptuple] = values
-        return values
+            key = _GENERAL_KEY if cold else qtype
+            stats = self._stat_cache.get(key)
+            if stats is None or stats.epoch != snap.epoch:
+                stats = self._stat_cache[key] = _SnapshotStats(
+                    snap.epoch, snap.mean())
+                self.fast_path_stats.cache_misses += 1
+            else:
+                self.fast_path_stats.cache_hits += 1
+            percentiles = slo.percentiles
+            values = stats.percentiles.get(percentiles)
+            if values is None:
+                values = stats.percentiles[percentiles] = snap.percentiles(
+                    percentiles)
+        entry = self._entries.get(qtype)
+        if (entry is None or entry.slo is not slo
+                or entry.values is not values or entry.cold != cold):
+            entry = self._entries[qtype] = _TypeEntry(slo, cold, values)
+        return entry
 
-    # -- fast-path maintenance -------------------------------------------
+    # -- incremental Eq. 2 state -------------------------------------------
     def _on_queue_event(self, qtype: str, delta: int) -> None:
         """Queue-view subscription: mirror occupancy incrementally."""
         self._wait_cache = None
@@ -653,9 +599,10 @@ class BouncerPolicy(AdmissionPolicy):
         Runs on publish boundaries, bootstrap publishes, sliding-window
         content changes, and resynchronization — i.e. exactly when a cached
         term might no longer match what the naive walk would compute.  The
-        snapshots it touches are a subset of the ones the naive path
-        touches on every single decision, so lazy swaps and bootstrap
-        publishes happen at the same instants in both modes.
+        snapshots it touches are a subset of the ones that walk touches on
+        every single decision, so lazy swaps and bootstrap publishes happen
+        at the same instants as under the walk (the test oracle,
+        ``tests/bouncer_oracle.py``).
         """
         self.fast_path_stats.eq2_recomputes += 1
         self._sum_dirty = False
@@ -742,178 +689,23 @@ class BouncerPolicy(AdmissionPolicy):
         ``force_swap`` in a test, or :meth:`import_state`); the next
         decision recomputes from the live snapshots.
         """
-        if self._fast:
-            self._stat_cache.clear()
-            self._sum_dirty = True
-            self._wait_cache = None
+        self._stat_cache.clear()
+        self._sum_dirty = True
+        self._wait_cache = None
 
     # -- the decision (Algorithm 1) ----------------------------------------
     def _decide(self, query: Query) -> AdmissionResult:
-        """Algorithm 1 as a batch of one: the same engine as decide_many.
-
-        With the fast path on (and no debug cross-check), the layered
-        pipeline — ``estimate_wait_mean`` → ``_batch_entry`` →
-        ``_fast_percentiles`` → ``_entry_result`` — is *fused* into one
-        flat function: the same statements, side effects, and float
-        operations in the same order, minus roughly ten Python frames and
-        a ``_BatchEntry`` allocation per decision.  Scalar decisions
-        dominate simulation hot loops (Poisson arrivals rarely coincide),
-        so this flattening is a first-order throughput lever
-        (docs/performance.md).  Bit-identity with the layered path is held
-        by the fast-vs-naive and batch differential suites.
-        """
-        if not self._fast or self._debug:
-            wait_mean = self.estimate_wait_mean()
-            return self._entry_result(self._batch_entry(query.qtype),
-                                      wait_mean)
-        qtype = query.qtype
-        # --- estimate_wait_mean / _fast_wait_mean, fused ---
-        wait_mean = 0.0
-        if self._terms:
-            if (self._sum_dirty or self._pending_terms
-                    or self._ctx.clock.now() >= self._next_due):
-                self._refresh_terms()
-            if self._watch:
-                self._service_watch()
-                if self._sum_dirty:
-                    self._refresh_terms()
-            cached_wait = self._wait_cache
-            if cached_wait is None:
-                total = 0.0
-                for term in self._terms.values():
-                    total += term.count * term.mean
-                cached_wait = total / self._ctx.parallelism
-                self._wait_cache = cached_wait
-            wait_mean = cached_wait
-        # --- _batch_entry, fused (same snapshot touch order: Eq. 2 walk
-        # first, then the arriving type's histograms) ---
-        hist = self._hists.get(qtype)
-        if hist is None:
-            hist = self._new_histogram()
-            self._hists[qtype] = hist
-        own = hist.snapshot()
-        cold = own.count < self._min_trusted
-        if cold:
-            snap = self._general.snapshot()
-            slo = self._slos.default
-        else:
-            snap = own
-            slo = self._slos.for_type(qtype)
-        values: Optional[List[float]]
-        if snap.is_empty:
-            values = None
-        else:
-            # --- _fast_percentiles / _stat_entry, fused ---
-            term = self._terms.get(qtype)
-            if term is not None and term.mean is not None:
-                if term.used_general:
-                    if not cold:
-                        self._sum_dirty = True
-                elif term.epoch != own.epoch:
-                    self._sum_dirty = True
-            if (cold and self._general_deps
-                    and snap.epoch != self._general_epoch_used):
-                self._sum_dirty = True
-            key = _GENERAL_KEY if cold else qtype
-            fstats = self.fast_path_stats
-            sentry = self._stat_cache.get(key)
-            if sentry is None or sentry.epoch != snap.epoch:
-                sentry = _SnapshotStats(snap.epoch, snap.mean())
-                self._stat_cache[key] = sentry
-                fstats.cache_misses += 1
-            else:
-                fstats.cache_hits += 1
-            ptuple = tuple(slo.percentiles)
-            values = sentry.percentiles.get(ptuple)
-            if values is None:
-                values = snap.percentiles(slo.percentiles)
-                sentry.percentiles[ptuple] = values
-        # --- _entry_result, through a per-type entry kept warm across
-        # decisions (valid while its inputs are the very same objects) ---
-        entry = self._scalar_entries.get(qtype)
-        if (entry is None or entry.slo is not slo
-                or entry.values is not values or entry.cold != cold):
-            entry = _BatchEntry(slo, cold, values)
-            self._scalar_entries[qtype] = entry
-        return self._entry_result(entry, wait_mean)
-
-    def decide_many(
-            self, queries: Sequence[Query],
-            on_decision: Optional[DecisionCallback] = None,
-    ) -> List[AdmissionResult]:
-        """Vectorized Algorithm 1 over a burst of same-instant arrivals.
-
-        Bit-identical to the scalar loop (the base-class contract; held to
-        it by ``tests/test_batch_differential.py``) but shares work across
-        the burst:
-
-        * the Eq. 2 wait estimate is computed once and reused until an
-          ``on_decision`` callback runs — a callback may enqueue the query
-          it just accepted, which is exactly the mutation the scalar loop's
-          next decision would observe, so the estimate is refreshed after
-          every callback (a memo hit whenever nothing actually changed);
-        * each distinct query type resolves its histogram snapshots, cold
-          fallback, and SLO percentile values once per batch
-          (:class:`_BatchEntry`), valid because the clock is frozen and no
-          completions are recorded between decisions of one batch;
-        * repeated types against an unchanged wait reuse the verdict,
-          paying only for their own estimates dict and result.
-
-        An empty batch returns immediately without touching any snapshot
-        or memo.  The per-query tallies land in :attr:`stats` exactly as
-        the scalar loop's would (batched under one lock when no callback
-        needs interleaved visibility).
-        """
-        results: List[AdmissionResult] = []
-        if not queries:
-            return results
-        stats = self.fast_path_stats
-        stats.batch_calls += 1
-        stats.batch_queries += len(queries)
-        if len(queries) == 1:
-            # A batch of one *is* one scalar decision: skip the per-batch
-            # entry table, outcome buffer, and record_many lock round-trip
-            # that exist to amortize work across a burst — with nothing to
-            # amortize they were a ~30% throughput tax (BENCH_02 batch_1 vs
-            # BENCH_01 scalar).  _decide is the same engine, so this is
-            # bit-identical to the general path by construction.
-            query = queries[0]
-            result = self._decide(query)
-            self.stats.record(query.qtype, result)
-            results.append(result)
-            if on_decision is not None:
-                on_decision(query, result)
-            return results
-        entries: Dict[str, _BatchEntry] = {}
-        outcomes: List[Tuple[str, AdmissionResult]] = []
+        """Algorithm 1: Eq. 2's wait, the arriving type's entry, the
+        verdict."""
         wait_mean = self.estimate_wait_mean()
-        wait_stale = False
-        for query in queries:
-            if wait_stale:
-                wait_mean = self.estimate_wait_mean()
-                wait_stale = False
-            qtype = query.qtype
-            entry = entries.get(qtype)
-            if entry is None:
-                entry = self._batch_entry(qtype)
-                entries[qtype] = entry
-            result = self._entry_result(entry, wait_mean)
-            results.append(result)
-            if on_decision is not None:
-                self.stats.record(qtype, result)
-                on_decision(query, result)
-                wait_stale = True
-            else:
-                outcomes.append((qtype, result))
-        if outcomes:
-            self.stats.record_many(outcomes)
-        return results
+        return self._entry_result(self._entry(query.qtype), wait_mean)
 
     def decide_types(self, qtypes: Sequence[str], out: bytearray) -> None:
-        """:meth:`decide_many`'s no-callback pass, keyed by type name: one
-        Eq. 2 wait, each distinct type resolved once, one bit per query
-        from (entry, wait), and :attr:`stats` tallied for exactly the bits
-        appended, even when resolving a type raises."""
+        """Algorithm 1 by type name: one Eq. 2 wait, each distinct type's
+        entry resolved once, one bit per query from (entry, wait), and
+        :attr:`stats` tallied for exactly the bits appended, even when
+        resolving a type raises.  Bit-identical to deciding the queries
+        one by one: nothing between them moves the clock or the queue."""
         if not qtypes:
             return
         stats = self.fast_path_stats
@@ -921,13 +713,13 @@ class BouncerPolicy(AdmissionPolicy):
         stats.batch_queries += len(qtypes)
         start = len(out)
         append = out.append
-        entries: Dict[str, _BatchEntry] = {}
+        entries: Dict[str, _TypeEntry] = {}
         try:
             wait_mean = self.estimate_wait_mean()
             for qtype in qtypes:
                 entry = entries.get(qtype)
                 if entry is None:
-                    entry = entries[qtype] = self._batch_entry(qtype)
+                    entry = entries[qtype] = self._entry(qtype)
                 if entry.proto_wait != wait_mean:
                     self._entry_result(entry, wait_mean)
                 append(0x31 if entry.proto_accept else 0x30)
@@ -935,9 +727,9 @@ class BouncerPolicy(AdmissionPolicy):
             self.stats.record_bits(qtypes, out[start:],
                                    RejectReason.SLO_ESTIMATE)
 
-    def _entry_result(self, entry: _BatchEntry,
+    def _entry_result(self, entry: _TypeEntry,
                       wait_mean: float) -> AdmissionResult:
-        """Algorithm 1 for one query given its type's batch entry.
+        """Algorithm 1 for one query given its type's entry.
 
         The response estimate is ``wait + pt_p`` per constrained
         percentile, in exactly the scalar arithmetic (no slack
@@ -981,8 +773,8 @@ class BouncerPolicy(AdmissionPolicy):
         """Point 3: record the processing time in the type's histogram.
 
         Every completion also feeds the general histogram, which backs the
-        cold-start fallback (Appendix A).  With the fast path on, the
-        record also updates invalidation hints: sliding-window backends
+        cold-start fallback (Appendix A).  The record also updates the
+        Eq. 2 state's invalidation hints: sliding-window backends
         make records visible immediately (so any dependent Eq. 2 term goes
         stale now), while dual-buffer backends only change at a publish —
         the one sample-driven publish (cold-start bootstrap) is tracked via
@@ -993,8 +785,6 @@ class BouncerPolicy(AdmissionPolicy):
         index = self._index_for(processing_time)
         hist.record_at(index, processing_time)
         self._general.record_at(index, processing_time)
-        if not self._fast:
-            return
         if hist.records_visible_immediately:
             if query.qtype in self._terms or self._general_deps:
                 self._sum_dirty = True

@@ -24,16 +24,6 @@ from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ._compat import numpy as _np
-
-#: Minimum number of percentile targets before the numpy ``searchsorted``
-#: path beats a per-target ``bisect_left`` on the cached cumulative list.
-#: Measured on the default 471-bucket layout: one vectorized call carries
-#: ~3.5us of fixed overhead (target-list conversion + dispatch) against
-#: ~0.7us per bisect, so the crossover sits near six targets.  Below the
-#: threshold the pure-python path is both faster and the one the scalar
-#: admission hot path (two SLO percentiles) already exercises.
-NUMPY_MIN_TARGETS = 6
 
 #: Fixed-size header of the binary snapshot wire form: the three layout
 #: parameters (bucket edges are derived, not shipped), the publish epoch,
@@ -147,7 +137,7 @@ class HistogramSnapshot:
     """
 
     __slots__ = ("_layout", "_counts", "count", "_sum", "epoch",
-                 "_cumulative", "_cumulative_arr")
+                 "_cumulative")
 
     def __init__(self, layout: BucketLayout, counts: Sequence[int],
                  total: int, value_sum: float, epoch: int = 0) -> None:
@@ -157,7 +147,6 @@ class HistogramSnapshot:
         self._sum = float(value_sum)
         self.epoch = int(epoch)
         self._cumulative: Optional[List[int]] = None
-        self._cumulative_arr: Optional[object] = None
 
     def _cum(self) -> List[int]:
         """Cumulative bucket counts, built lazily on first percentile query.
@@ -171,24 +160,6 @@ class HistogramSnapshot:
             cum = list(accumulate(self._counts))
             self._cumulative = cum
         return cum
-
-    def cumulative_array(self) -> object:
-        """numpy int64 view of the cumulative counts, cached per snapshot.
-
-        Snapshot immutability makes this effectively epoch-keyed: a
-        publisher bumps the epoch only by publishing a *new* snapshot
-        object, so holding a snapshot is holding its bucket arrays — no
-        separate invalidation token is needed on top of the PR-5 epoch
-        scheme.  Raises when numpy is unavailable; callers must branch on
-        :func:`repro.core._compat.have_numpy` (or the module's ``_np``).
-        """
-        if _np is None:
-            raise RuntimeError("numpy is not available in this process")
-        arr = self._cumulative_arr
-        if arr is None:
-            arr = _np.asarray(self._cum(), dtype=_np.int64)
-            self._cumulative_arr = arr
-        return arr
 
     @property
     def is_empty(self) -> bool:
@@ -234,14 +205,8 @@ class HistogramSnapshot:
         return self._value_at(bisect_left(cum, target), target)
 
     def _value_at(self, idx: int, target: float) -> float:
-        """Interpolated value for rank ``target`` landing in bucket ``idx``.
-
-        Shared by the bisect and numpy lookup paths so both produce the
-        same float arithmetic: ``searchsorted(side='left')`` returns the
-        same index as ``bisect_left`` (int64 cumulative counts compare
-        exactly against float targets below 2**53), and the in-bucket
-        interpolation is this one expression either way.
-        """
+        """Interpolated value for rank ``target`` landing in bucket ``idx``
+        (shared by :meth:`percentile` and :meth:`percentiles`)."""
         cum = self._cum()
         if idx >= len(cum):
             # Rounding pushed the target past the total; return the top edge.
@@ -254,14 +219,8 @@ class HistogramSnapshot:
         return lower + (upper - lower) * fraction
 
     def percentiles(self, ps: Iterable[float]) -> List[float]:
-        """Vectorized :meth:`percentile` (one binary search per target).
-
-        With numpy present and enough targets to amortize the dispatch
-        overhead (:data:`NUMPY_MIN_TARGETS`), all ranks are located with a
-        single ``searchsorted`` over the cached cumulative array; otherwise
-        each rank is a ``bisect_left`` on the cached cumulative list.  The
-        two paths are bit-identical (``tests/test_numpy_fallback.py``).
-        """
+        """:meth:`percentile` for each distinct target, ascending: one
+        ``bisect_left`` per target on the cached cumulative list."""
         wanted = sorted(set(float(p) for p in ps))
         for p in wanted:
             if not 0 < p <= 100:
@@ -269,11 +228,6 @@ class HistogramSnapshot:
         if self.count == 0:
             return [0.0 for _ in wanted]
         targets = [p / 100.0 * self.count for p in wanted]
-        if _np is not None and len(targets) >= NUMPY_MIN_TARGETS:
-            indexes = _np.searchsorted(self.cumulative_array(), targets,
-                                       side="left")
-            return [self._value_at(int(idx), target)
-                    for idx, target in zip(indexes, targets)]
         cum = self._cum()
         return [self._value_at(bisect_left(cum, target), target)
                 for target in targets]

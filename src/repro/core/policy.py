@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .types import AdmissionResult, Decision, Query, RejectReason
 
@@ -78,12 +78,6 @@ class PolicyStats:
                 by_reason = counters.rejected_by_reason
                 by_reason[result.reason] = (
                     by_reason.get(result.reason, 0) + 1)
-
-    def record_many(self,
-                    outcomes: Iterable[Tuple[str, AdmissionResult]]) -> None:
-        """Tally a burst of outcomes (counters only, so order-insensitive)."""
-        for qtype, result in outcomes:
-            self.record(qtype, result)
 
     def record_bits(self, qtypes: Iterable[str], bits: bytes,
                     reason: RejectReason) -> None:
@@ -163,10 +157,9 @@ class AdmissionPolicy(abc.ABC):
         observe — exactly as sequential arrivals would.
 
         This default implementation *is* that scalar loop, which makes it
-        correct by construction for every policy (baselines, starvation
-        and advisor wrappers).  Policies with batch-friendly structure
-        (Bouncer) override it with a vectorized path that preserves the
-        contract; ``tests/test_batch_differential.py`` holds them to it.
+        correct by construction for every policy; an override must keep
+        the contract, and ``tests/test_batch_differential.py`` holds every
+        policy to it.
         """
         results: List[AdmissionResult] = []
         for query in queries:

@@ -149,12 +149,12 @@ def render_metrics(policy: AdmissionPolicy,
                      f"the incremental Eq. 2 term table.")
         lines.append(f"# TYPE {_PREFIX}_eq2_recomputes counter")
         lines.append(_line("eq2_recomputes", {}, fast.eq2_recomputes))
-        lines.append(f"# HELP {_PREFIX}_batch_calls decide_many "
-                     f"invocations (batched admission).")
+        lines.append(f"# HELP {_PREFIX}_batch_calls decide_types "
+                     f"invocations (decisions by type name).")
         lines.append(f"# TYPE {_PREFIX}_batch_calls counter")
         lines.append(_line("batch_calls", {}, fast.batch_calls))
         lines.append(f"# HELP {_PREFIX}_batch_queries Queries decided "
-                     f"through decide_many batches.")
+                     f"through decide_types.")
         lines.append(f"# TYPE {_PREFIX}_batch_queries counter")
         lines.append(_line("batch_queries", {}, fast.batch_queries))
 

@@ -333,8 +333,8 @@ class SpanRecorder:
 
     # -- batched lifecycle transitions (the per-query hot path) -----------
     # One recorder call (and at most one lock acquisition) per Figure-1
-    # point keeps full-sampling span overhead inside the bench budget
-    # (see ``SPAN_OVERHEAD_TOLERANCE`` in repro.bench.perf).
+    # point keeps full-sampling span overhead low (``lifecycle_spans`` row of
+    # benchmarks/bench_overhead.py).
 
     def open_lifecycle(self, query_id: int, qtype: str, host: str,
                        start: float, now: float

@@ -35,18 +35,20 @@ from repro.core.policy import AlwaysAcceptPolicy, AlwaysRejectPolicy
 from repro.core.starvation import (AcceptanceAllowancePolicy,
                                    HelpingTheUnderservedPolicy)
 from repro.core.types import Query
+from tests.bouncer_oracle import (NaiveBouncerPolicy, checked_wait_mean,
+                                  naive_bouncer)
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
 TYPES = ("fast", "slow", "bulk")
 
 
-def _bouncer_factory(**config):
+def _bouncer_factory(cls=BouncerPolicy, **config):
     def make(ctx):
         registry = SLORegistry.uniform(SLO, TYPES)
         defaults = dict(min_samples=1, retain_min_samples=1,
                         bootstrap_samples=0)
         defaults.update(config)
-        return BouncerPolicy(ctx, BouncerConfig(slos=registry, **defaults))
+        return cls(ctx, BouncerConfig(slos=registry, **defaults))
     return make
 
 
@@ -100,13 +102,13 @@ def _simulate(policy_factory, *, batched, burst, num_queries,
         per_type=server.metrics.build_type_stats())
 
 
-#: Every policy held to the batch contract.  Bouncer's fast path carries
-#: ``debug_check`` so it additionally self-verifies Eq. 2 per decision;
-#: policies with internal randomness get fixed seeds so the scalar and
-#: batch worlds draw identical streams.
+#: Every policy held to the batch contract, Bouncer next to its naive
+#: oracle; a Bouncer world's Eq. 2 is also checked against the naive walk
+#: after every op.  Policies with internal randomness get fixed seeds
+#: so the scalar and batch worlds draw identical streams.
 POLICY_FACTORIES = {
-    "bouncer_fast": _bouncer_factory(fast_path=True, debug_check=True),
-    "bouncer_naive": _bouncer_factory(fast_path=False),
+    "bouncer_fast": _bouncer_factory(),
+    "bouncer_naive": _bouncer_factory(NaiveBouncerPolicy),
     "bouncer_sliding": _bouncer_factory(
         histogram_mode=HISTOGRAMS_SLIDING_WINDOW, histogram_window=3.0,
         min_samples=2),
@@ -114,12 +116,12 @@ POLICY_FACTORIES = {
     "maxqwt": lambda ctx: MaxQueueWaitTimePolicy(ctx, limit=0.01),
     "accept_fraction": lambda ctx: AcceptFractionPolicy(ctx, seed=7),
     "queue_cap": lambda ctx: QueueLimitWrapper(
-        _bouncer_factory(fast_path=True)(ctx), ctx, limit=4),
+        _bouncer_factory()(ctx), ctx, limit=4),
     "starvation_aa": lambda ctx: AcceptanceAllowancePolicy(
-        _bouncer_factory(fast_path=True)(ctx), ctx.clock, allowance=0.4,
+        _bouncer_factory()(ctx), ctx.clock, allowance=0.4,
         window=4.0, step=1.0, seed=13),
     "starvation_hu": lambda ctx: HelpingTheUnderservedPolicy(
-        _bouncer_factory(fast_path=True)(ctx), ctx.clock, alpha=1.0,
+        _bouncer_factory()(ctx), ctx.clock, alpha=1.0,
         window=4.0, step=1.0, qtypes=TYPES, seed=13),
     "always_accept": lambda ctx: AlwaysAcceptPolicy(),
     "always_reject": lambda ctx: AlwaysRejectPolicy(),
@@ -183,6 +185,9 @@ class BatchDifferentialRunner:
             elif kind == "batch":
                 qtypes, use_callback = arg
                 self._decide_burst(qtypes, use_callback)
+            if isinstance(self.scalar.policy, BouncerPolicy):
+                assert checked_wait_mean(self.scalar.policy) == \
+                    checked_wait_mean(self.batch.policy)
         self.assert_worlds_identical()
 
     def _decide_burst(self, qtypes, use_callback):
@@ -211,9 +216,6 @@ class BatchDifferentialRunner:
             self.batch.policy.stats.types()
         assert self.scalar.queue.occupancy() == self.batch.queue.occupancy()
         assert self.scalar.queued == self.batch.queued
-        scalar_wait = getattr(self.scalar.policy, "estimate_wait_mean", None)
-        if scalar_wait is not None:
-            assert scalar_wait() == self.batch.policy.estimate_wait_mean()
 
 
 def op_strategy():
@@ -331,14 +333,14 @@ class TestFig06BatchArm:
     """The batch arm of the Figure 6 differential guard: a batched
     simulation run must be bit-identical to the seed scalar run."""
 
-    def _run(self, burst, batched, fast_path):
-        from repro.bench.experiments import make_bouncer
+    def _run(self, burst, batched, naive=False):
+        from repro.bench.experiments import make_bouncer, simulation_slos
 
         seq = []
-        overrides = (dict(fast_path=True, debug_check=True) if fast_path
-                     else dict(fast_path=False))
+        factory = (naive_bouncer(simulation_slos()) if naive
+                   else make_bouncer())
         report = _simulate(
-            make_bouncer(**overrides), batched=batched, burst=burst,
+            factory, batched=batched, burst=burst,
             num_queries=2500, warmup_queries=1000, seed=11,
             on_decision=lambda now, q, r: seq.append(
                 (now, q.qtype, r.accepted,
@@ -347,10 +349,8 @@ class TestFig06BatchArm:
 
     @pytest.mark.parametrize("burst", [8, 64])
     def test_batched_run_bit_identical_to_scalar_run(self, burst):
-        scalar_seq, scalar_report = self._run(burst, batched=False,
-                                              fast_path=True)
-        batch_seq, batch_report = self._run(burst, batched=True,
-                                            fast_path=True)
+        scalar_seq, scalar_report = self._run(burst, batched=False)
+        batch_seq, batch_report = self._run(burst, batched=True)
         assert len(scalar_seq) > 0
         assert scalar_seq == batch_seq
         assert scalar_report.attainment == batch_report.attainment
@@ -358,9 +358,8 @@ class TestFig06BatchArm:
             batch_report.overall.response
 
     def test_batched_fast_matches_batched_naive(self):
-        fast_seq, fast_report = self._run(8, batched=True, fast_path=True)
-        naive_seq, naive_report = self._run(8, batched=True,
-                                            fast_path=False)
+        fast_seq, fast_report = self._run(8, batched=True)
+        naive_seq, naive_report = self._run(8, batched=True, naive=True)
         assert fast_seq == naive_seq
         assert fast_report.attainment == naive_report.attainment
 
@@ -380,7 +379,7 @@ class TestRuntimeSubmitMany:
         def factory(ctx):
             return BouncerPolicy(ctx, BouncerConfig(
                 slos=registry, min_samples=1, retain_min_samples=1,
-                bootstrap_samples=0, fast_path=True, debug_check=True))
+                bootstrap_samples=0))
 
         qtypes = ["fast", "slow", "fast", "bulk"]
         with self._make_server(factory) as server:
@@ -535,22 +534,31 @@ def _fast_path_counts(policy):
             fast.batch_calls, fast.batch_queries)
 
 
+def _build(spec, naive):
+    """``spec``'s policy, or the naive oracle over the same host state."""
+    policy, queue, clock = spec.build()
+    if not naive:
+        return policy
+    ctx = HostContext(clock=clock, queue=queue, parallelism=spec.parallelism)
+    return NaiveBouncerPolicy(ctx, policy.config)
+
+
 class TestDecideTypes:
     """``decide_types``, the worker's by-name pass: Bouncer's override,
-    the base default and the scalar loop decide the same bits, and the
-    override does the same cache work as ``decide_many``."""
+    the base default, the scalar loop and ``decide_many`` decide the same
+    bits, for Bouncer and for its naive oracle."""
 
-    @pytest.mark.parametrize("config", [
-        dict(), dict(fast_path=False), dict(debug_check=True)],
-        ids=["fast", "naive", "debug_check"])
+    @pytest.mark.parametrize("variant", ["fast", "naive", "debug_check"])
     @settings(max_examples=40, deadline=None)
     @given(ops=_types_ops())
-    def test_pass_equals_default_scalar_and_decide_many(self, config, ops):
+    def test_pass_equals_default_scalar_and_decide_many(self, variant, ops):
         from repro.core.policy import AdmissionPolicy
 
-        spec = _types_spec(**config)
+        spec = _types_spec()
+        wait_mean = (checked_wait_mean if variant == "debug_check"
+                     else lambda policy: policy.estimate_wait_mean())
         override, default, scalar, many = (
-            spec.build()[0] for _ in range(4))
+            _build(spec, variant == "naive") for _ in range(4))
         for epoch, (kind, arg) in enumerate(ops, start=1):
             if kind == "publish":
                 types, general = _publication(epoch, arg)
@@ -569,9 +577,8 @@ class TestDecideTypes:
                 b"1" if result.accepted else b"0" for result in batch)
             assert override.stats.types() == default.stats.types() == \
                 scalar.stats.types() == many.stats.types()
-            assert _fast_path_counts(override) == _fast_path_counts(many)
-            assert override.estimate_wait_mean() == \
-                many.estimate_wait_mean() == scalar.estimate_wait_mean()
+            assert wait_mean(override) == wait_mean(many) == \
+                wait_mean(scalar)
 
     def test_empty_list_touches_nothing(self):
         from repro.core.policy import AdmissionPolicy

@@ -45,6 +45,19 @@ class TestConfigValidation:
             BouncerConfig(slos=SLORegistry.uniform(SLO),
                           histogram_interval=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("histogram_interval", float("nan")),
+        ("histogram_interval", float("inf")),
+        ("histogram_window", float("nan")),
+        ("histogram_window", float("inf")),
+        ("min_samples", float("nan")),
+        ("min_samples", 2.5),
+    ])
+    def test_rejects_non_finite_and_non_integer_values(self, field, value):
+        # NaN fails every comparison, so ``x < 0``-style checks let it in.
+        with pytest.raises(ConfigurationError):
+            BouncerConfig(slos=SLORegistry.uniform(SLO), **{field: value})
+
 
 class TestWaitEstimate:
     def test_empty_queue_means_zero_wait(self):

@@ -301,12 +301,12 @@ def _report_fingerprint(report):
     return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
-def _fig06_cell():
+def _fig06_cell(policy_factory=None):
     from repro.bench.experiments import make_bouncer, simulation_mix
     from repro.sim.driver import run_simulation
 
     return run_simulation(
-        simulation_mix(), make_bouncer(), rate_qps=4000.0,
+        simulation_mix(), policy_factory or make_bouncer(), rate_qps=4000.0,
         num_queries=2500, parallelism=100, warmup_queries=1000, seed=11,
         attainment_threshold=0.05)
 

@@ -1,12 +1,14 @@
-"""Tests for the admission fast path: epoch-cached snapshot statistics,
+"""Tests for Bouncer's decision path: epoch-cached snapshot statistics,
 the incrementally maintained Eq. 2 state, the Eq. 2 scalar memo, and the
 micro-optimizations that ride along (``__slots__``, lazy heap compaction).
 
-The load-bearing invariant throughout: with ``fast_path`` on or off,
-Bouncer produces *bit-identical* decisions and estimates.  The property
-test drives both variants through random interleavings of records,
-enqueues, dequeues, clock advances and decisions — with ``debug_check``
-making the fast policy self-verify Eq. 2 on every decision.
+The load-bearing invariant throughout: Bouncer produces decisions and
+estimates *bit-identical* to the naive oracle
+(``tests/bouncer_oracle.py``), which recomputes everything on every
+decision.  The property tests drive both through random interleavings of
+records, enqueues, dequeues, clock advances and decisions; a third
+policy has its Eq. 2 checked after every op (non-negative, exactly 0.0 on
+an empty queue, equal to the naive walk over its own histograms).
 """
 
 import random
@@ -22,19 +24,21 @@ from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
 from repro.core.histogram import LatencyHistogram
 from repro.core.types import AdmissionResult, Query
 from repro.sim.simulator import Simulator
+from tests.bouncer_oracle import NaiveBouncerPolicy, checked_wait_mean
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
 TYPES = ("fast", "slow", "bulk")
 
 
-def make_policy(parallelism=4, clock=None, queue=None, **config):
+def make_policy(parallelism=4, clock=None, queue=None, cls=BouncerPolicy,
+                **config):
     clock = clock or ManualClock()
     queue = queue or QueueView()
     ctx = HostContext(clock=clock, queue=queue, parallelism=parallelism)
     registry = SLORegistry.uniform(SLO, TYPES)
     defaults = dict(min_samples=1, retain_min_samples=1, bootstrap_samples=0)
     defaults.update(config)
-    policy = BouncerPolicy(ctx, BouncerConfig(slos=registry, **defaults))
+    policy = cls(ctx, BouncerConfig(slos=registry, **defaults))
     return policy, clock, queue
 
 
@@ -128,30 +132,33 @@ class TestColdStartThreshold:
         assert not policy.estimate("fast").cold_start
 
     def test_both_paths_agree_on_threshold(self):
-        for fast in (True, False):
-            policy, clock, queue = make_policy(min_samples=0, fast_path=fast)
+        for cls in (BouncerPolicy, NaiveBouncerPolicy):
+            policy, clock, queue = make_policy(min_samples=0, cls=cls)
             feed(policy, clock, "slow", [0.020] * 4)
             queue.on_enqueue("fast")
             assert policy.estimate_wait_mean() == pytest.approx(0.020 / 4)
 
 
 class ScriptRunner:
-    """Drive a fast(+debug) and a naive policy through one op script."""
+    """Drive Bouncer, the naive oracle and an Eq. 2-checked Bouncer
+    through one op script.
+
+    Only the first two are compared decision by decision.  The third
+    reads Eq. 2 after every op, which touches its snapshots at instants
+    the other two do not, so its decisions may legitimately differ.
+    """
 
     def __init__(self, **config):
-        self.policies = []
-        for overrides in (dict(fast_path=True, debug_check=True),
-                          dict(fast_path=False)):
-            merged = dict(config)
-            merged.update(overrides)
-            self.policies.append(make_policy(**merged))
+        self.policies = [make_policy(cls=cls, **config)
+                         for cls in (BouncerPolicy, NaiveBouncerPolicy,
+                                     BouncerPolicy)]
         self.queued = []  # mirror, so dequeues target live entries
 
     def run(self, ops):
         outcomes = []
         for op in ops:
             kind, arg = op
-            for policy, clock, queue in self.policies:
+            for index, (policy, clock, queue) in enumerate(self.policies):
                 if kind == "record":
                     qtype, value = arg
                     policy.on_completed(Query(qtype=qtype), 0.0, value)
@@ -166,13 +173,23 @@ class ScriptRunner:
                 elif kind == "advance":
                     clock.advance(arg)
                 elif kind == "decide":
-                    outcomes.append(policy.decide(Query(qtype=arg)))
+                    result = policy.decide(Query(qtype=arg))
+                    if index < 2:
+                        outcomes.append(result)
+            self.check_wait(*self.policies[2])
             # Maintain the shared queue mirror once per op.
             if kind == "enqueue":
                 self.queued.append(arg)
             elif kind == "dequeue" and self.queued:
                 self.queued.pop(arg % len(self.queued))
         return outcomes
+
+    @staticmethod
+    def check_wait(policy, clock, queue):
+        wait = checked_wait_mean(policy)
+        assert wait >= 0.0
+        if not queue.length():
+            assert wait == 0.0
 
     def assert_identical(self, outcomes):
         fast, naive = outcomes[0::2], outcomes[1::2]
@@ -285,18 +302,18 @@ class TestFastPathEquivalence:
         runner.assert_identical(runner.run(ops))
 
     def test_import_state_invalidates_fast_caches(self):
-        policy, clock, queue = make_policy(fast_path=True, debug_check=True)
+        policy, clock, queue = make_policy()
         feed(policy, clock, "fast", [0.004] * 3)
         queue.on_enqueue("fast")
-        before = policy.estimate_wait_mean()
+        before = checked_wait_mean(policy)
         donor, dclock, _ = make_policy()
         feed(donor, dclock, "fast", [0.05] * 6)
         policy.import_state(donor.export_state())
-        after = policy.estimate_wait_mean()  # debug_check verifies vs naive
+        after = checked_wait_mean(policy)
         assert after != before
 
     def test_scalar_memo_counts_hits(self):
-        policy, clock, queue = make_policy(fast_path=True)
+        policy, clock, queue = make_policy()
         feed(policy, clock, "fast", [0.004] * 4)
         queue.on_enqueue("fast")
         for _ in range(10):

@@ -337,19 +337,19 @@ def poisoned_engine(board, qtypes, raising, default_pass):
     bad = {qtypes[k] for k in raising}
     engine = ShardEngine(build_policy_spec(), board)
     policy = engine.policy
-    batch_entry, decide = policy._batch_entry, policy._decide
+    entry, decide = policy._entry, policy._decide
 
     def raising_entry(qtype):
         if qtype in bad:
             raise RuntimeError("policy bug")
-        return batch_entry(qtype)
+        return entry(qtype)
 
     def raising_decide(query):
         if query.qtype in bad:
             raise RuntimeError("policy bug")
         return decide(query)
 
-    policy._batch_entry = raising_entry
+    policy._entry = raising_entry
     policy._decide = raising_decide
     if default_pass:
         policy.decide_types = functools.partial(
