@@ -13,7 +13,7 @@ from repro import AdmissionResult, Query, RejectReason, run_simulation
 from repro.bench import make_bouncer, simulation_mix
 from repro.core import AdmissionPolicy, HostContext
 from repro.exceptions import ConfigurationError
-from repro.obs import render_metrics
+from repro.telemetry import render_metrics
 
 
 class TokenBucketPolicy(AdmissionPolicy):
@@ -85,7 +85,7 @@ def main() -> None:
                   f"(SLO 18/50)")
 
     print("\nOperational metrics for the custom policy "
-          "(repro.obs exposition):\n")
+          "(repro.telemetry.render_metrics exposition):\n")
     sample = render_metrics(last_policy["token-bucket"])
     print("\n".join(sample.splitlines()[:10]))
     print("...")

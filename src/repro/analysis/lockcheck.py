@@ -29,6 +29,7 @@ interleaving still produces a report instead of hanging silently first.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import traceback
@@ -42,6 +43,12 @@ _REAL_RLOCK = threading.RLock
 
 #: Stack frames kept per recorded acquisition site.
 _STACK_LIMIT = 16
+
+#: Lock ids in the graph.  Not ``id(lock)``: a dead lock's edges stay in
+#: the graph and CPython hands its address to a later object, so a new
+#: lock keyed by ``id()`` would inherit them and close cycles that never
+#: happened.
+_lock_ids = itertools.count(1)
 
 
 def _creation_site() -> str:
@@ -228,21 +235,22 @@ class CheckedLock:
         self._registry = (registry if registry is not None
                           else current_registry())
         self._name = name or _creation_site()
+        self._id = next(_lock_ids)
         if self._registry is not None:
-            self._registry.register(id(self), self._name)
+            self._registry.register(self._id, self._name)
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         registry = self._registry
         if registry is not None:
-            registry.note_acquiring(id(self))
+            registry.note_acquiring(self._id)
         acquired = self._inner.acquire(blocking, timeout)  # type: ignore[attr-defined]
         if acquired and registry is not None:
-            registry.note_acquired(id(self))
+            registry.note_acquired(self._id)
         return acquired
 
     def release(self) -> None:
         if self._registry is not None:
-            self._registry.note_released(id(self))
+            self._registry.note_released(self._id)
         self._inner.release()  # type: ignore[attr-defined]
 
     def locked(self) -> bool:

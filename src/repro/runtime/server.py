@@ -42,8 +42,7 @@ from ..exceptions import (ConfigurationError, DeadlineExceededError,
                           InjectedFaultError, QueryRejectedError,
                           ShuttingDownError)
 from ..faults import FaultInjector
-from ..obs import render_metrics
-from ..telemetry import Telemetry, TelemetryHTTPServer
+from ..telemetry import Telemetry, TelemetryHTTPServer, render_metrics
 
 Handler = Callable[[Query], Any]
 PolicyFactory = Callable[[HostContext], AdmissionPolicy]
@@ -293,7 +292,7 @@ class AdmissionServer:
     def render_metrics(self) -> str:
         """Full scrape body: policy/queue exposition + telemetry registry.
 
-        A strict superset of :func:`repro.obs.render_metrics` — the
+        A strict superset of :func:`repro.telemetry.render_metrics` — the
         policy-side counters and Bouncer percentile estimates, the
         fail-open/expiration counters, and everything the telemetry
         registry accumulated (measured latency histograms, traces-side
@@ -423,27 +422,18 @@ class AdmissionServer:
         for query in queries:
             query.arrival_time = now
         out: "List[tuple[AdmissionResult, Optional[Future[Any]]]]" = []
-        # Buffer the burst's accepted/rejected counters and flush them in
-        # one ``add_many`` pass at the end — a scrape racing the burst
-        # sees counters at most one burst stale, never torn.
-        batch = self.telemetry.batch()
 
         def apply(query: Query, result: AdmissionResult) -> None:
-            out.append((result,
-                        self._apply_decision(query, result, now,
-                                             defer=batch)))
+            out.append((result, self._apply_decision(query, result, now)))
 
         with self._lock:
             self._check_accepting()
             decide_many_fail_open(self.policy, queries, apply,
                                   self.telemetry.on_policy_error)
-        batch.flush()
         return out
 
     def _apply_decision(self, query: Query, result: AdmissionResult,
-                        now: float,
-                        defer: Optional["Any"] = None
-                        ) -> "Optional[Future[Any]]":
+                        now: float) -> "Optional[Future[Any]]":
         """Record one decision and enqueue on acceptance (shared tail).
 
         The single post-decision sequence behind :meth:`submit`,
@@ -456,7 +446,7 @@ class AdmissionServer:
         """
         self.telemetry.on_decision(query, result, now=now,
                                    queue_length=self.queue_view.length(),
-                                   policy=self.policy, defer=defer)
+                                   policy=self.policy)
         if not result.accepted:
             return None
         future: "Future[Any]" = Future()

@@ -184,7 +184,6 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
         schedule_call(first_burst[0].arrival_time, arrive_burst, first_burst)
     sim.run()
 
-    server.flush_telemetry()
     measure_end = max(server.metrics.last_arrival,
                       server.metrics.start_time)
     duration = measure_end - server.metrics.start_time

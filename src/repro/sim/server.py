@@ -33,10 +33,6 @@ PolicyFactory = Callable[[HostContext], AdmissionPolicy]
 DecisionHook = Callable[[float, Query, AdmissionResult], None]
 PriorityFn = Callable[[Query], float]
 
-#: Flush the deferred telemetry buffer once this many updates accumulate
-#: (bounds scrape staleness on runs whose engines never all go idle).
-_TELE_FLUSH = 512
-
 
 class SimulatedServer:
     """One serving host inside a :class:`~repro.sim.simulator.Simulator`.
@@ -110,13 +106,6 @@ class SimulatedServer:
         self._telemetry = telemetry
         self._faults = fault_injector
         self._host = host_label
-        # Deferred registry updates for the Point-2/3 histograms (waits,
-        # processing, response): buffered per drain and flushed through
-        # ``MetricsRegistry.add_many`` whenever all engines go idle or the
-        # buffer tops ``_TELE_FLUSH``.  Point-1 counters stay immediate —
-        # a rejection storm with no completions would otherwise never
-        # flush them.
-        self._tele_batch = telemetry.batch() if telemetry is not None else None
         # Arrival instant of the burst currently flowing through
         # ``offer_many``; lets the batch callback be a plain bound method
         # instead of a per-burst closure.
@@ -303,8 +292,7 @@ class SimulatedServer:
             wait = query.wait_time or 0.0
             self.policy.on_dequeued(query, wait)
             if self._telemetry is not None:
-                self._telemetry.on_dequeue(query, now=now,
-                                           defer=self._tele_batch)
+                self._telemetry.on_dequeue(query, now=now)
             self._account_busy()
             self._idle -= 1
             service = (query.service_time
@@ -354,22 +342,7 @@ class SimulatedServer:
         if self._telemetry is not None:
             if errored:
                 self._telemetry.span_mark_fault(query, "engine_error", now)
-            self._telemetry.on_completion(query, now=now, errored=errored,
-                                          defer=self._tele_batch)
+            self._telemetry.on_completion(query, now=now, errored=errored)
         self._account_busy()
         self._idle += 1
         self._dispatch()
-        batch = self._tele_batch
-        if batch is not None and (self._idle == self.parallelism
-                                  or batch.pending >= _TELE_FLUSH):
-            batch.flush()
-
-    def flush_telemetry(self) -> None:
-        """Apply telemetry updates still buffered in the deferred batch.
-
-        The host flushes on its own at every full drain (all engines
-        idle) and at the buffer threshold; call this before scraping the
-        registry of a run stopped mid-flight (``run(until=...)``).
-        """
-        if self._tele_batch is not None:
-            self._tele_batch.flush()

@@ -34,7 +34,7 @@ from .calibration import (DEFAULT_MAX_PENDING, DEFAULT_WINDOW,
                           render_calibration_report)
 from .http import (CHROME_TRACE_CONTENT_TYPE, METRICS_CONTENT_TYPE,
                    TRACES_CONTENT_TYPE, TelemetryHTTPServer)
-from .hub import Telemetry, TelemetryBatch
+from .hub import Telemetry, render_metrics
 from .registry import (DEFAULT_PREFIX, EXPOSITION_LAYOUT, MetricFamily,
                        MetricsRegistry, escape_help, escape_label_value)
 from .report import (TraceSummary, TypeTraceSummary, render_trace_report,
@@ -65,7 +65,6 @@ __all__ = [
     "SpanRecorder",
     "TRACES_CONTENT_TYPE",
     "Telemetry",
-    "TelemetryBatch",
     "TelemetryHTTPServer",
     "TraceEvent",
     "TraceSummary",
@@ -81,6 +80,7 @@ __all__ = [
     "parse_spans_jsonl",
     "render_calibration_report",
     "render_chrome_trace",
+    "render_metrics",
     "render_span_report",
     "render_trace_report",
     "summarize_events",

@@ -35,7 +35,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .._stats import mean, percentile
 from ..exceptions import ConfigurationError
-from .tracer import TraceEvent, _HASH_MULTIPLIER, _HASH_SPACE
+from .tracer import TraceEvent, sampler
 
 #: Default rolling-window length (per-type samples retained per series).
 DEFAULT_WINDOW = 4096
@@ -106,26 +106,17 @@ class CalibrationTracker:
         if max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {max_pending}")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in [0, 1], got {sample_rate}")
         self.window = window
         self.max_pending = max_pending
         self.sample_rate = sample_rate
-        self._threshold = int(sample_rate * _HASH_SPACE)
+        #: ``sampled(query_id)``: the tracer's :func:`~repro.telemetry
+        #: .tracer.sampler` verdict at this rate.
+        self.sampled = sampler(sample_rate)
         self._lock = threading.Lock()
         self._pending: "OrderedDict[int, _Pending]" = OrderedDict()
         self._per_type: Dict[str, _TypeCalibration] = {}
         self.rejected_total = 0
         self.evicted = 0
-
-    def sampled(self, query_id: int) -> bool:
-        """Deterministic per-query verdict (same hash as the tracer)."""
-        if self._threshold >= _HASH_SPACE:
-            return True
-        if self._threshold <= 0:
-            return False
-        return (query_id * _HASH_MULTIPLIER) % _HASH_SPACE < self._threshold
 
     def _entry(self, qtype: str) -> _TypeCalibration:
         entry = self._per_type.get(qtype)

@@ -5,7 +5,7 @@ A scrape endpoint for a live host, with no web-framework dependency: a
 
 * ``GET /metrics`` — exposition text (Prometheus text format 0.0.4); for
   an :class:`~repro.runtime.server.AdmissionServer` this is a superset of
-  :func:`repro.obs.render_metrics`.
+  :func:`repro.telemetry.render_metrics`.
 * ``GET /traces`` — recent decision-trace events as JSONL; ``?limit=N``
   caps the response to the newest N events and ``?qtype=T`` restricts it
   to one query type (filters compose: newest N *of type T*).

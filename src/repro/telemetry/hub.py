@@ -12,7 +12,11 @@ a single ``is None`` test per metric point.
 One ``Telemetry`` can serve a whole cluster: :meth:`scoped` returns a view
 sharing the registry, tracer, span recorder, and calibration tracker but
 stamping a different ``host`` label (``broker-0``, ``shard-3``, …), which
-is how the LIquid cluster model attributes events to hosts.
+is how the LIquid cluster model attributes events to hosts.  Each view
+binds its per-type children on their first record, so no hook builds a
+label key.  :func:`render_metrics`, the policy-side exposition
+(``repro_admission_*``), writes through a throwaway registry, so both
+scrapes share one Prometheus writer.
 
 Bouncer evidence (``ewt_mean``, per-percentile ``ert_p``, the SLO targets,
 the cold-start flag) is captured on *sampled* decisions only: the
@@ -31,14 +35,15 @@ module).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from ..core.bouncer import BouncerPolicy
-from ..core.policy import AdmissionPolicy
+from ..core.policy import AdmissionPolicy, QueueView
 from ..core.starvation import _StarvationWrapper
 from ..core.types import AdmissionResult, Query, RejectReason
 from .calibration import CalibrationTracker
-from .registry import MetricsRegistry
+from .registry import MetricFamily, MetricsRegistry
 from .spans import SpanContext, SpanRecorder
 from .tracer import DecisionTracer, TraceEvent
 
@@ -50,68 +55,106 @@ def _unwrap_bouncer(policy: Optional[AdmissionPolicy]
     return policy if isinstance(policy, BouncerPolicy) else None
 
 
-class TelemetryBatch:
-    """Deferred registry updates, flushed through ``add_many``.
+def render_metrics(policy: AdmissionPolicy,
+                   queue: Optional[QueueView] = None, *,
+                   policy_errors: Optional[int] = None,
+                   expired_count: Optional[int] = None) -> str:
+    """A policy's counters (and queue state) as exposition text.
 
-    The metric-point hooks accept ``defer=<batch>`` to buffer their
-    counter increments and histogram observations here instead of taking
-    the child lock per event; :meth:`flush` applies everything in one
-    :meth:`~repro.telemetry.registry.MetricsRegistry.add_many` pass.
-    Deferral never changes what the registry ends up containing — counter
-    sums are commutative and each histogram child receives its values in
-    recorded order, so bucket counts *and* the rendered value sums are
-    identical to the unbuffered path.  Only scrape freshness changes: a
-    render between buffer and flush can run up to the buffer's depth
-    behind.  Hosts bound that lag (the simulated server flushes whenever
-    its engines all go idle or the buffer tops 512 entries; the runtime
-    server flushes at the end of each ``submit_many`` burst).
+    Per-type accepted/rejected counters, the starvation wrapper's
+    overrides, and for a Bouncer its published percentile processing
+    times, Eq. 2 wait estimate and fast-path counters, rendered through
+    a throwaway ``repro_admission`` :class:`MetricsRegistry` (stable
+    ordering: by family, then labels).  ``policy_errors`` (fail-open
+    admissions) and ``expired_count`` (deadline drops) are host-side
+    counters; ``None`` omits them.
 
-    Not thread-safe: one batch belongs to one recording thread.  Events
-    that must stay per-query and in order (trace events, span
-    transitions, calibration joins, gauge sets) are never deferred.
+    It reads the policy and the view, so like every call into them it is
+    the host's to serialize: the threaded :class:`~repro.runtime.server
+    .AdmissionServer` wraps it in its host lock
+    (``server.render_metrics()``).
+    """
+    registry = MetricsRegistry(prefix="repro_admission")
+    accepted = registry.counter("accepted_total",
+                                "Queries admitted, by type.")
+    rejected = registry.counter("rejected_total",
+                                "Queries rejected, by type and reason.")
+    per_type = policy.stats.types()
+    for qtype, tally in per_type.items():
+        accepted.labels(qtype=qtype).inc(tally.accepted)
+        if tally.rejected and not tally.rejected_by_reason:
+            rejected.labels(qtype=qtype, reason="unknown").inc(
+                tally.rejected)
+        for reason, count in tally.rejected_by_reason.items():
+            rejected.labels(qtype=qtype, reason=reason.value).inc(count)
+    # The unlabelled counters, as (name, value, help); None omits one.
+    totals = [("policy_errors_total", policy_errors,
+               "Policy exceptions absorbed by the fail-open host."),
+              ("expired_total", expired_count,
+               "Admitted queries dropped in the queue past their deadline.")]
+    if queue is not None:
+        registry.gauge("queue_length", "Queries waiting in the FIFO queue."
+                       ).labels().set(queue.length())
+        occupancy = registry.gauge("queue_occupancy",
+                                   "Queries waiting, by type.")
+        for qtype, count in queue.occupancy().items():
+            occupancy.labels(qtype=qtype).set(count)
+    if isinstance(policy, _StarvationWrapper):
+        totals.append(("overrides_total", policy.override_count,
+                       "Rejections overridden by the starvation strategy."))
+    bouncer = _unwrap_bouncer(policy)
+    if bouncer is not None:
+        processing = registry.gauge(
+            "processing_seconds",
+            "Published percentile processing times, by type.")
+        for qtype in per_type:
+            snapshot = bouncer.processing_snapshot(qtype)
+            if snapshot.is_empty:
+                continue
+            for percentile in bouncer.slos.for_type(qtype).percentiles:
+                processing.labels(qtype=qtype, quantile=f"{percentile:g}"
+                                  ).set(snapshot.percentile(percentile))
+        registry.gauge("estimated_wait_seconds",
+                       "Bouncer's mean queue-wait estimate (Eq. 2)."
+                       ).labels().set(bouncer.estimate_wait_mean())
+        fast = bouncer.fast_path_stats
+        totals += [
+            ("estimator_cache_hits", fast.cache_hits,
+             "Fast-path estimator cache hits (epoch-keyed snapshot "
+             "stats)."),
+            ("estimator_cache_misses", fast.cache_misses,
+             "Fast-path estimator cache misses (new publish epoch)."),
+            ("eq2_recomputes", fast.eq2_recomputes,
+             "Full recomputes of the incremental Eq. 2 term table."),
+            ("batch_calls", fast.batch_calls,
+             "decide_types invocations (decisions by type name)."),
+            ("batch_queries", fast.batch_queries,
+             "Queries decided through decide_types.")]
+    for name, value, help_text in totals:
+        if value is not None:
+            registry.counter(name, help_text).labels().inc(value)
+    return registry.render()
+
+
+class _BindOnUse(dict):
+    """A dict that fills a missing key with ``bind(key)`` on first use.
+
+    No lock: threads racing on one missing key each store what ``bind``
+    returns, and every child comes from its family's get-or-create, so
+    they store the same child.  Recording stays under the children's own
+    locks, which are synchronisation: ``AdmissionServer``'s workers fire
+    ``on_dequeue``/``on_completion`` outside the host lock.
     """
 
-    __slots__ = ("_registry", "_counters", "_histograms", "pending")
+    __slots__ = ("_bind",)
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        # id(child) -> [child, payload]; identity-keyed so distinct label
-        # sets of one family never collide and lookup skips __eq__.
-        self._counters: dict = {}
-        self._histograms: dict = {}
-        #: Buffered updates not yet flushed (hosts use this for thresholds).
-        self.pending = 0
+    def __init__(self, bind: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._bind = bind
 
-    def inc(self, child: Any, amount: float = 1.0) -> None:
-        """Buffer a counter/gauge increment."""
-        slot = self._counters.get(id(child))
-        if slot is None:
-            self._counters[id(child)] = [child, amount]
-        else:
-            slot[1] += amount
-        self.pending += 1
-
-    def observe(self, child: Any, value: float) -> None:
-        """Buffer one histogram observation (per-child order preserved)."""
-        slot = self._histograms.get(id(child))
-        if slot is None:
-            self._histograms[id(child)] = [child, [value]]
-        else:
-            slot[1].append(value)
-        self.pending += 1
-
-    def flush(self) -> None:
-        """Apply all buffered updates to the registry and empty the batch."""
-        if not self.pending:
-            return
-        updates = [(child, payload)
-                   for child, payload in self._counters.values()]
-        updates.extend((child, values)
-                       for child, values in self._histograms.values())
-        self._registry.add_many(updates)
-        self._counters.clear()
-        self._histograms.clear()
-        self.pending = 0
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self._bind(key)
+        return value
 
 
 class Telemetry:
@@ -207,6 +250,10 @@ class Telemetry:
             "(synced at render time).")
         # Last-synced FastPathStats per policy, for delta accounting.
         self._fast_seen: dict = {}
+        #: qtype -> this host's children of that type, each bound on its
+        #: first record (see :meth:`_bind`), so no hook builds a label key.
+        self._typed = _BindOnUse(
+            lambda qtype: _BindOnUse(partial(self._bind, qtype)))
 
     def scoped(self, host: str) -> "Telemetry":
         """A view onto the same registry/tracer/spans/calibration under
@@ -215,10 +262,17 @@ class Telemetry:
                          host=host, spans=self.spans,
                          calibration=self.calibration)
 
-    def batch(self) -> TelemetryBatch:
-        """A new deferred-update buffer bound to this registry (pass it as
-        the hooks' ``defer`` argument, flush at a drain boundary)."""
-        return TelemetryBatch(self.registry)
+    def _bind(self, qtype: str, key: Any) -> Any:
+        """This host's ``qtype`` child for ``key``: a family for its
+        per-type series, a reason for ``rejected_total``, a percentile for
+        ``bouncer_ert_seconds``."""
+        if isinstance(key, MetricFamily):
+            return key.labels(host=self.host, qtype=qtype)
+        if isinstance(key, str):
+            return self._rejected.labels(host=self.host, qtype=qtype,
+                                         reason=key)
+        return self._ert_gauge.labels(host=self.host, qtype=qtype,
+                                      quantile=f"{key:g}")
 
     # -- convenience readers (the runtime server's counter properties) ----
     @property
@@ -266,35 +320,17 @@ class Telemetry:
     # -- metric-point hooks ------------------------------------------------
     def on_decision(self, query: Query, result: AdmissionResult,
                     now: float, queue_length: int = 0,
-                    policy: Optional[AdmissionPolicy] = None,
-                    defer: Optional[TelemetryBatch] = None) -> None:
-        """Point 1: an admission verdict was produced for ``query``.
-
-        ``defer`` buffers the accepted/rejected counter increment in a
-        :class:`TelemetryBatch` instead of taking the child lock here;
-        everything order-sensitive (gauges, traces, spans, calibration)
-        still happens inline.
-        """
+                    policy: Optional[AdmissionPolicy] = None) -> None:
+        """Point 1: an admission verdict was produced for ``query``."""
         qtype = query.qtype
+        children = self._typed[qtype]
         if result.accepted:
-            child = self._accepted.labels(host=self.host, qtype=qtype)
-            if defer is None:
-                child.inc()
-            else:
-                defer.inc(child)
+            children[self._accepted].inc()
         else:
-            reason = result.reason.value if result.reason else "unknown"
-            child = self._rejected.labels(host=self.host, qtype=qtype,
-                                          reason=reason)
-            if defer is None:
-                child.inc()
-            else:
-                defer.inc(child)
-        if result.estimates:
-            for percentile, value in result.estimates.items():
-                self._ert_gauge.labels(host=self.host, qtype=qtype,
-                                       quantile=f"{percentile:g}"
-                                       ).set(value)
+            children[result.reason.value if result.reason
+                     else "unknown"].inc()
+        for percentile, value in result.estimates.items():
+            children[percentile].set(value)
         if policy is not None:
             self.record_fast_path(policy)
         tracer = self.tracer
@@ -366,16 +402,10 @@ class Telemetry:
             self._eq2_recomputes.labels(host=self.host).inc(
                 recomputes - seen[2])
 
-    def on_dequeue(self, query: Query, now: float,
-                   defer: Optional[TelemetryBatch] = None) -> None:
+    def on_dequeue(self, query: Query, now: float) -> None:
         """Point 2: an engine process pulled ``query`` from the queue."""
         wait = query.wait_time or 0.0
-        wait_child = self._queue_wait.labels(host=self.host,
-                                             qtype=query.qtype)
-        if defer is None:
-            wait_child.observe(wait)
-        else:
-            defer.observe(wait_child, wait)
+        self._typed[query.qtype][self._queue_wait].observe(wait)
         tracer = self.tracer
         if tracer is not None and tracer.sampled(query.query_id):
             tracer.record(TraceEvent(
@@ -387,21 +417,14 @@ class Telemetry:
         self.span_dequeue(query, now)
 
     def on_completion(self, query: Query, now: float,
-                      errored: bool = False,
-                      defer: Optional[TelemetryBatch] = None) -> None:
+                      errored: bool = False) -> None:
         """Point 3: ``query`` finished; its response is about to ship."""
         qtype = query.qtype
         processing = query.processing_time or 0.0
         response = query.response_time or 0.0
-        processing_child = self._processing.labels(host=self.host,
-                                                   qtype=qtype)
-        response_child = self._response.labels(host=self.host, qtype=qtype)
-        if defer is None:
-            processing_child.observe(processing)
-            response_child.observe(response)
-        else:
-            defer.observe(processing_child, processing)
-            defer.observe(response_child, response)
+        children = self._typed[qtype]
+        children[self._processing].observe(processing)
+        children[self._response].observe(response)
         tracer = self.tracer
         if tracer is not None and tracer.sampled(query.query_id):
             tracer.record(TraceEvent(

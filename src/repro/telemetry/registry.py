@@ -28,9 +28,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..core.histogram import BucketLayout
 from ..exceptions import ConfigurationError
 
-#: Default metric-name prefix.  Distinct from :mod:`repro.obs`'s
-#: ``repro_admission`` prefix so the two renderings can be concatenated into
-#: one scrape body without family collisions.
+#: Default metric-name prefix.  Distinct from the ``repro_admission``
+#: prefix of :func:`~repro.telemetry.hub.render_metrics` so the two
+#: renderings can be concatenated into one scrape body without family
+#: collisions.
 DEFAULT_PREFIX = "repro_telemetry"
 
 #: Default histogram geometry for exposition: coarser than the policies'
@@ -145,28 +146,6 @@ class HistogramChild(_Child):
             self._count += 1
             self._sum += value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations under one lock acquisition.
-
-        Equivalent to calling :meth:`observe` per value in order (the sum
-        is accumulated with the same left-to-right float additions), but
-        amortizes the lock and attribute loads over the batch — the flush
-        path of :class:`~repro.telemetry.hub.TelemetryBatch`.
-        """
-        with self._lock:
-            counts = self._counts
-            index_for = self._layout.index_for
-            total = self._sum
-            recorded = 0
-            for value in values:
-                if value < 0:
-                    value = 0.0
-                counts[index_for(value)] += 1
-                total += value
-                recorded += 1
-            self._sum = total
-            self._count += recorded
-
     @property
     def count(self) -> int:
         with self._lock:
@@ -239,7 +218,10 @@ class MetricFamily:
         counts, count, total = child.state()
         layout = child._layout
         cumulative = 0
-        for idx, bucket_count in enumerate(counts):
+        # The last bucket also holds every value clamped at the layout's
+        # ``max_value``, so its edge bounds nothing: its count shows only
+        # under ``+Inf``.
+        for idx, bucket_count in enumerate(counts[:-1]):
             cumulative += bucket_count
             if bucket_count == 0:
                 continue  # sparse rendering: only occupied bucket edges
@@ -296,26 +278,6 @@ class MetricsRegistry:
     def families(self) -> Iterable[MetricFamily]:
         with self._lock:
             return list(self._families.values())
-
-    def add_many(self, updates: Iterable[Tuple[_Child, object]]) -> None:
-        """Apply a batch of child updates in one pass.
-
-        ``updates`` is an iterable of ``(child, payload)`` pairs where
-        ``child`` is a bound child (``family.labels(...)``) and ``payload``
-        is a float increment for counters/gauges or an iterable of values
-        for histograms.  Each child is touched once (one lock acquisition
-        per entry), so hosts that buffer hot-path increments — see
-        :class:`~repro.telemetry.hub.TelemetryBatch` — flush hundreds of
-        observations at the cost of a few locked sections.
-        """
-        for child, payload in updates:
-            if isinstance(child, HistogramChild):
-                child.observe_many(payload)  # type: ignore[arg-type]
-            elif isinstance(child, (CounterChild, GaugeChild)):
-                child.inc(float(payload))  # type: ignore[arg-type]
-            else:
-                raise ConfigurationError(
-                    f"add_many cannot apply updates to {type(child).__name__}")
 
     def counter_value(self, name: str, **labels: str) -> float:
         """Read one counter child's value (0.0 when never incremented)."""

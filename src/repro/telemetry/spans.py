@@ -40,7 +40,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from ..exceptions import ConfigurationError
-from .tracer import _HASH_MULTIPLIER, _HASH_SPACE
+from .tracer import sampler
 
 #: Default ring-buffer capacity (finished spans, not traces).
 DEFAULT_SPAN_CAPACITY = 65536
@@ -260,12 +260,11 @@ class SpanRecorder:
         if capacity < 1:
             raise ConfigurationError(
                 f"capacity must be >= 1, got {capacity}")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in [0, 1], got {sample_rate}")
         self.capacity = capacity
         self.sample_rate = sample_rate
-        self._threshold = int(sample_rate * _HASH_SPACE)
+        #: ``sampled(query_id)``: the tracer's :func:`~repro.telemetry
+        #: .tracer.sampler` verdict at this rate.
+        self.sampled = sampler(sample_rate)
         self._lock = threading.Lock()
         self._finished: Deque[Span] = deque(maxlen=capacity)
         # Keyed by ``id(span)``: the table holds the only strong reference
@@ -278,14 +277,6 @@ class SpanRecorder:
         # instead of one pair per span on the hot path.
         self._open_ctxs: Dict[int, "SpanContext"] = {}
         self.recorded = 0
-
-    def sampled(self, query_id: int) -> bool:
-        """Deterministic per-trace sampling verdict (one multiply)."""
-        if self._threshold >= _HASH_SPACE:
-            return True
-        if self._threshold <= 0:
-            return False
-        return (query_id * _HASH_MULTIPLIER) % _HASH_SPACE < self._threshold
 
     # -- span lifecycle ---------------------------------------------------
     def begin_trace(self, query_id: int, qtype: str, host: str,
@@ -342,10 +333,7 @@ class SpanRecorder:
         """Open a root span (at ``start``) plus its ``queue_wait`` child
         (at ``now``) in one operation; ``None`` if the trace is unsampled.
         This is the accepted-admission fast path."""
-        threshold = self._threshold
-        if threshold < _HASH_SPACE and (
-                threshold <= 0
-                or (query_id * _HASH_MULTIPLIER) % _HASH_SPACE >= threshold):
+        if not self.sampled(query_id):
             return None
         ctx = SpanContext()
         root = Span(query_id, 1, None, "query", qtype, host, start,
@@ -473,7 +461,7 @@ class SpanRecorder:
         if qtype is not None:
             snapshot = [span for span in snapshot if span.qtype == qtype]
         if limit is not None and limit >= 0:
-            snapshot = snapshot[-limit:]
+            snapshot = snapshot[-limit:] if limit else []
         return snapshot
 
     def clear(self) -> None:

@@ -26,7 +26,8 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..exceptions import ConfigurationError
 
@@ -37,6 +38,24 @@ DEFAULT_CAPACITY = 16384
 #: uniformly over 32 bits for the sampling decision.
 _HASH_MULTIPLIER = 2654435761
 _HASH_SPACE = 2 ** 32
+
+
+def _below(threshold: int, query_id: int) -> bool:
+    return (query_id * _HASH_MULTIPLIER) % _HASH_SPACE < threshold
+
+
+def sampler(sample_rate: float) -> Callable[[int], bool]:
+    """The deterministic per-query sampling verdict at ``sample_rate``.
+
+    One multiplicative hash of the query id against a threshold, shared
+    by the decision tracer, the span recorder and the calibration
+    tracker: sinks built at one rate sample the same queries, and a
+    seeded run samples the same ids every time.
+    """
+    if not 0.0 <= sample_rate <= 1.0:
+        raise ConfigurationError(
+            f"sample_rate must be in [0, 1], got {sample_rate}")
+    return partial(_below, int(sample_rate * _HASH_SPACE))
 
 
 @dataclass
@@ -128,23 +147,13 @@ class DecisionTracer:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, "
                                      f"got {capacity}")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in [0, 1], got {sample_rate}")
         self.capacity = capacity
         self.sample_rate = sample_rate
-        self._threshold = int(sample_rate * _HASH_SPACE)
+        #: ``sampled(query_id)``: this tracer's :func:`sampler` verdict.
+        self.sampled = sampler(sample_rate)
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.recorded = 0
-
-    def sampled(self, query_id: int) -> bool:
-        """Deterministic per-query sampling verdict (cheap: one multiply)."""
-        if self._threshold >= _HASH_SPACE:
-            return True
-        if self._threshold <= 0:
-            return False
-        return (query_id * _HASH_MULTIPLIER) % _HASH_SPACE < self._threshold
 
     def record(self, event: TraceEvent) -> None:
         """Append one event (evicting the oldest past capacity)."""
@@ -172,7 +181,7 @@ class DecisionTracer:
             snapshot = [event for event in snapshot
                         if event.qtype == qtype]
         if limit is not None and limit >= 0:
-            snapshot = snapshot[-limit:]
+            snapshot = snapshot[-limit:] if limit else []
         return snapshot
 
     def clear(self) -> None:

@@ -95,7 +95,6 @@ def _simulate(policy_factory, *, batched, burst, num_queries,
 
     schedule_next()
     sim.run()
-    server.flush_telemetry()
     return types.SimpleNamespace(
         attainment=server.metrics.attainment(0.05),
         overall=server.metrics.build_overall_stats(),

@@ -12,8 +12,9 @@ Each battery releases its submitter threads from a barrier against a
 started server with a scraper running beside them, and then checks
 conservation, exactly: every offered query got one verdict, every
 accepted query ended one way, the view is back to zero, the general
-histogram holds one sample per completion, and the policy's tallies add
-up to what was offered.  Run under ``REPRO_LOCKCHECK=1`` (CI loops it
+histogram holds one sample per completion, and both the policy's tallies
+and the telemetry registry's accepted/rejected counters add up to what
+was offered.  Run under ``REPRO_LOCKCHECK=1`` (CI loops it
 twenty times) the same batteries feed the lock graph.
 """
 
@@ -58,6 +59,13 @@ def bouncer_factory(ctx):
         slos=SLORegistry.uniform(LatencySLO.from_ms(p50=8, p90=20), TYPES),
         histogram_interval=3600.0, histogram_window=3600.0, min_samples=5,
         retain_min_samples=0, bootstrap_samples=40))
+
+
+def counter_sum(registry, name):
+    """A telemetry counter summed over its children (hosts, types,
+    reasons)."""
+    return sum(child.value
+               for child in registry.counter(name).children().values())
 
 
 def recorded_samples(histogram):
@@ -170,6 +178,9 @@ class Battery:
         assert totals.accepted == accepted
         assert totals.rejected == rejected
         assert sum(totals.rejected_by_reason.values()) == rejected
+        registry = self.telemetry.registry
+        assert counter_sum(registry, "accepted_total") == accepted
+        assert counter_sum(registry, "rejected_total") == rejected
 
         policy = server.policy
         assert recorded_samples(policy._general) == completed
@@ -224,7 +235,7 @@ class TestLockGraph:
 
         monkeypatch.setattr(lockcheck.CheckedLock, "acquire", acquire)
         # Under REPRO_LOCKCHECK=1 the graph already holds the suite's
-        # edges (and ids of freed locks get reused): judge the new ones.
+        # edges: judge the new ones.
         before, _ = lock_edges(registry)
         battery = Battery()
         battery.run()
@@ -238,11 +249,11 @@ class TestLockGraph:
             3 * offered + len(battery.scrapes) + 8)
         new = after - before
         under_host = [names[target] for source, target in new
-                      if source == id(host_lock)]
+                      if source == host_lock._id]
         assert under_host, "decisions record telemetry under the host lock"
         assert [site for site in under_host
                 if "/repro/telemetry/" not in site] == []
         # Nobody takes the host lock while holding another lock.
         assert [names[source] for source, target in new
-                if target == id(host_lock)] == []
+                if target == host_lock._id] == []
         assert registry.violations == []

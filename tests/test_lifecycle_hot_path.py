@@ -138,7 +138,8 @@ class TestRefusedSamples:
     def test_telemetry_histogram_still_clamps_negatives(self):
         child = HistogramChild(DEFAULT_LAYOUT)
         child.observe(-3.0)
-        child.observe_many([-1.0, 0.004])
+        child.observe(-1.0)
+        child.observe(0.004)
         assert child.count == 3
         assert child._counts[0] == 2
         assert child._sum == 0.004

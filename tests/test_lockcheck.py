@@ -130,6 +130,26 @@ class TestLockGraph:
                 with lock_a:
                     pass
 
+    def test_a_new_lock_does_not_inherit_a_dead_locks_edges(self, registry):
+        # A dead lock's edges stay in the graph, and CPython hands its
+        # address to a later lock: keyed by ``id()``, the reborn lock
+        # would close the cycle outer -> inner -> outer.
+        outer = CheckedLock(registry, name="outer")
+        inner = CheckedLock(registry, name="inner")
+        with outer:
+            with inner:
+                pass
+        dead = id(inner)
+        del inner
+        reborn = [CheckedLock(registry, name="reborn") for _ in range(50)]
+        if dead not in {id(lock) for lock in reborn}:
+            pytest.skip("this interpreter did not reuse the dead address")
+        for lock in reborn:
+            with lock:
+                with outer:
+                    pass
+        assert registry.violations == []
+
     def test_reset_clears_graph_and_violations(self, registry):
         lock_a, lock_b = make_pair(registry)
         with lock_a:

@@ -7,7 +7,7 @@ from repro.core import (AcceptanceAllowancePolicy, AlwaysAcceptPolicy,
                         BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, QueueView, SLORegistry)
 from repro.core.types import Query
-from repro.obs import render_metrics
+from repro.telemetry import render_metrics
 
 
 def make_bouncer():

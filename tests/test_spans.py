@@ -15,10 +15,11 @@ import pytest
 from repro.bench.experiments import make_bouncer, simulation_mix
 from repro.exceptions import ConfigurationError
 from repro.sim.driver import run_simulation
-from repro.telemetry import (DecisionTracer, Span, SpanContext,
-                             SpanRecorder, Telemetry, load_spans_jsonl,
-                             parse_spans_jsonl, render_chrome_trace,
-                             render_span_report, summarize_spans)
+from repro.telemetry import (CalibrationTracker, DecisionTracer, Span,
+                             SpanContext, SpanRecorder, Telemetry,
+                             load_spans_jsonl, parse_spans_jsonl,
+                             render_chrome_trace, render_span_report,
+                             summarize_spans)
 from repro.telemetry.spans import _EMPTY_ATTRS
 
 
@@ -77,8 +78,10 @@ class TestDeterministicSampling:
     def test_verdict_matches_decision_tracer(self):
         recorder = SpanRecorder(sample_rate=0.3)
         tracer = DecisionTracer(sample_rate=0.3)
+        calibration = CalibrationTracker(sample_rate=0.3)
         verdicts = [recorder.sampled(i) for i in range(500)]
         assert verdicts == [tracer.sampled(i) for i in range(500)]
+        assert verdicts == [calibration.sampled(i) for i in range(500)]
         assert 0 < sum(verdicts) < 500
 
     def test_rate_extremes(self):

@@ -14,8 +14,8 @@ from repro.core.types import AdmissionResult, Query, RejectReason
 from repro.exceptions import ConfigurationError
 from repro.liquid import run_cluster_simulation
 from repro.sim import run_simulation
-from repro.telemetry import (DecisionTracer, MetricsRegistry, Telemetry,
-                             TraceEvent, parse_jsonl)
+from repro.telemetry import (DecisionTracer, MetricsRegistry, SpanRecorder,
+                             Telemetry, TraceEvent, parse_jsonl)
 
 
 def make_warm_bouncer(parallelism=4):
@@ -67,6 +67,19 @@ class TestMetricsRegistry:
         # Cumulative semantics: the +Inf bucket equals the count.
         assert 'qtype="x",le="+Inf"} 3' in text
         assert '_count{qtype="x"} 3' in text
+
+    def test_clamped_observation_is_counted_only_under_inf(self):
+        # 200 s is past the layout's 100 s clamp: it lands in the last
+        # bucket, whose finite edge would claim it was below that edge.
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat_seconds", "Latency.")
+        hist.labels().observe(0.001)
+        hist.labels().observe(200.0)
+        buckets = [line for line in registry.render().splitlines()
+                   if "_bucket" in line]
+        assert len(buckets) == 2
+        assert buckets[0].endswith(" 1") and 'le="+Inf"' not in buckets[0]
+        assert buckets[1] == 'repro_telemetry_lat_seconds_bucket{le="+Inf"} 2'
 
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
@@ -152,6 +165,35 @@ class TestDecisionTracer:
             DecisionTracer(capacity=0)
         with pytest.raises(ConfigurationError):
             DecisionTracer(sample_rate=1.5)
+
+
+def filled_tracer():
+    tracer = DecisionTracer()
+    for i in range(3):
+        tracer.record(TraceEvent(event="decision", point=1, ts=float(i),
+                                 query_id=i, qtype="t"))
+    return tracer, tracer.events
+
+
+def filled_span_recorder():
+    recorder = SpanRecorder()
+    for i in range(3):
+        recorder.record_trace(i, "t", "h", float(i), i + 0.5)
+    return recorder, recorder.spans
+
+
+@pytest.mark.parametrize("fill", [filled_tracer, filled_span_recorder])
+def test_limit_keeps_the_newest_n_and_zero_keeps_none(fill, tmp_path):
+    # ``/traces?limit=0`` and ``/spans?limit=0`` (and a negative limit,
+    # which the handler clamps to 0) land here with ``limit=0``.
+    sink, records = fill()
+    assert records(limit=0) == []
+    assert records(limit=2) == records()[1:]
+    assert records(limit=5) == records()
+    assert sink.render_jsonl(limit=0) == ""
+    path = tmp_path / "out.jsonl"
+    assert sink.export_jsonl(str(path), limit=0) == 0
+    assert path.read_text() == ""
 
 
 class TestTelemetryFacade:
