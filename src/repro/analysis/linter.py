@@ -42,8 +42,6 @@ DEFAULT_EXCLUDE: Tuple[str, ...] = ("*/analysis_fixtures/*",)
 DEFAULT_ALLOW_PATHS: Mapping[str, Tuple[str, ...]] = {
     # clock.py is the sanctioned wall-clock boundary.
     "no-wall-clock": ("*/repro/core/clock.py",),
-    # Tests open handles to assert on intermediate open-span state.
-    "span-must-finish": ("*/tests/*",),
 }
 
 
@@ -245,65 +243,6 @@ def lint_paths(paths: Sequence[str],
         checked += 1
         violations.extend(lint_source(source, path, config))
     return violations, checked
-
-
-# -- baselines -------------------------------------------------------------
-#
-# A baseline freezes the current findings so a path expansion (new
-# directories, new rules) can land without a flag-day cleanup: recorded
-# findings stop failing the run, anything *new* still does.  Keyed by
-# (path, rule, message) with multiplicity — line numbers are deliberately
-# not part of the key, so unrelated edits that shift a legacy finding a
-# few lines do not resurrect it.
-
-#: Format marker inside baseline files.
-BASELINE_VERSION = 1
-
-
-def write_baseline(path: str, violations: Sequence[Violation]) -> None:
-    """Record ``violations`` as the accepted baseline at ``path``."""
-    findings = sorted(
-        ({"path": v.path, "rule": v.rule, "message": v.message}
-         for v in violations),
-        key=lambda item: (item["path"], item["rule"], item["message"]))
-    Path(path).write_text(json.dumps({
-        "version": BASELINE_VERSION,
-        "findings": findings,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_baseline(path: str) -> Dict[Tuple[str, str, str], int]:
-    """Read a baseline into ``(path, rule, message) -> count``."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("version")
-    if version != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {path!r} has unsupported version {version!r}")
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for item in payload.get("findings", []):
-        key = (str(item["path"]), str(item["rule"]), str(item["message"]))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def filter_baseline(violations: Sequence[Violation],
-                    baseline: Mapping[Tuple[str, str, str], int]
-                    ) -> List[Violation]:
-    """Violations not covered by the baseline (multiplicity-aware).
-
-    Each baseline entry absorbs at most its recorded count, so a file
-    *gaining* a second identical finding still fails.
-    """
-    budget = dict(baseline)
-    fresh: List[Violation] = []
-    for violation in violations:
-        key = (violation.path, violation.rule, violation.message)
-        remaining = budget.get(key, 0)
-        if remaining > 0:
-            budget[key] = remaining - 1
-        else:
-            fresh.append(violation)
-    return fresh
 
 
 def render_text(violations: Sequence[Violation], files_checked: int) -> str:

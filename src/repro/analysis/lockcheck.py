@@ -20,8 +20,7 @@ module checks that at runtime:
 that locks constructed *from repro code* are instrumented while stdlib
 machinery (futures, HTTP servers) keeps real primitives.  The pytest plugin
 (:mod:`repro.analysis.pytest_plugin`) installs it for the whole suite when
-``REPRO_LOCKCHECK=1``; ``repro lint --dynamic`` installs it around a short
-sim + runtime workload.
+``REPRO_LOCKCHECK=1``.
 
 Edges are recorded *before* the blocking acquire, so an actual deadlock
 interleaving still produces a report instead of hanging silently first.

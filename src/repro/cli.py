@@ -20,12 +20,9 @@ Eight commands:
   estimates to the measured wait/response times and print per-type
   signed-error/APE/attainment tables plus the exclusive rejection
   attribution by Algorithm 1 term.
-* ``lint``     — run the project-aware static analysis (determinism,
-  clock, RNG, lock and concurrency invariants; see
-  ``docs/static_analysis.md``), with ``--baseline`` to fail only on new
-  findings and ``--dynamic`` for the instrumented concurrency workloads
-  (lock graph across threads, seqlock race harness, two-shard gateway
-  fleet).
+* ``lint``     — run the project-aware static analysis (clock, RNG and
+  simulated-time determinism, lock discipline, swallowed engine errors;
+  see ``docs/static_analysis.md``).
 * ``info``     — print the reproduction's configuration: the Table 1 mix,
   the SLOs, the cluster shape, and the experiment-to-bench map.
 """
@@ -200,15 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: all)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
-    lint.add_argument("--dynamic", action="store_true",
-                      help="also run the instrumented concurrency "
-                           "workloads (lock graph, seqlock race, "
-                           "2-shard gateway)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="fail only on findings not recorded in FILE")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline FILE with the current "
-                           "findings and exit 0")
 
     sub.add_parser("info", help="print the reproduction's configuration")
     return parser
@@ -463,10 +451,9 @@ LINT_DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static rules (and optionally the dynamic checks)."""
-    from .analysis import (LintConfig, available_rules, filter_baseline,
-                           lint_paths, load_baseline, render_json,
-                           render_text, write_baseline)
+    """Run the static lint rules and print their findings."""
+    from .analysis import (LintConfig, available_rules, lint_paths,
+                           render_json, render_text)
 
     if args.list_rules:
         for name, description in available_rules().items():
@@ -485,35 +472,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
                            if os.path.exists(path)]
     config = LintConfig(select=select)
     violations, checked = lint_paths(paths, config)
-    if args.update_baseline:
-        if not args.baseline:
-            print("lint: --update-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        write_baseline(args.baseline, violations)
-        print(f"lint: recorded {len(violations)} finding(s) in "
-              f"{args.baseline}")
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"lint: cannot read baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        violations = filter_baseline(violations, baseline)
     if args.output_format == "json":
         print(render_json(violations, checked))
     else:
         print(render_text(violations, checked))
-    failed = bool(violations)
-    if args.dynamic:
-        from .analysis.dynamic import render_check_report, run_dynamic_check
-
-        result = run_dynamic_check()
-        print(render_check_report(result))
-        failed = failed or not result.ok()
-    return 1 if failed else 0
+    return 1 if violations else 0
 
 
 def cmd_info() -> int:

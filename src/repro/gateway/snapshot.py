@@ -145,7 +145,6 @@ class SnapshotBoard:
         try:
             # The generation word goes last so a crash mid-init can never
             # leave a valid header next to a stale even generation.
-            # repro: allow=seqlock-discipline (pre-attach init: the name escapes only on return, so no reader can race this)
             _HEADER.pack_into(shm.buf, 0, _MAGIC, _VERSION, slots,
                               slot_size)
             _USED.pack_into(shm.buf, _USED_OFF, 0)
@@ -176,7 +175,6 @@ class SnapshotBoard:
             # registration (the tracker process is shared), breaking its
             # unlink-time bookkeeping.
             shm = shared_memory.SharedMemory(name=name)
-        # repro: allow=seqlock-discipline (header words are written once before the name escapes and are immutable afterwards)
         magic, version, slots, slot_size = _HEADER.unpack_from(shm.buf, 0)
         if magic != _MAGIC or version != _VERSION:
             shm.close()

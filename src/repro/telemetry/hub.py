@@ -29,8 +29,7 @@ appear together.
 
 Span handles live on ``query.span_ctx`` between hooks; the ``span_*``
 helpers here own every open/close transition, so hosts never hold a raw
-handle (and the ``span-must-finish`` lint discipline concentrates in one
-module).
+handle.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ Design constraints, in order:
   numbered in creation order within their trace.  Two seeded runs produce
   byte-identical span files.
 * **Closed on all exit paths.**  Every opened span must be finished —
-  rejection, expiry, injected fault, handler exception included.  The
-  ``span-must-finish`` lint rule enforces the static discipline and
-  :attr:`SpanRecorder.open_count` lets tests assert the dynamic one.
+  rejection, expiry, injected fault, handler exception included.
+  :attr:`SpanRecorder.open_count` lets tests assert it: the traced cluster
+  runs in ``tests/test_spans.py`` must drain to zero, fault-free and under
+  every named fault plan.
 
 Export formats: JSONL (one span per line, mirrors the decision tracer) and
 the Chrome trace-event format (``catapult`` JSON), which Perfetto and
@@ -77,8 +78,7 @@ class Span:
     allocates exactly one object per span).  Spans parsed back from an
     export have no recorder and are read-only records.  An *open* span
     must be :meth:`finish`-ed on every exit path — rejection, expiry,
-    exception — or handed off to the component that will (the
-    ``span-must-finish`` lint rule checks the static discipline).
+    exception — or handed off to the component that will.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "qtype",
@@ -428,7 +428,7 @@ class SpanRecorder:
     @property
     def open_count(self) -> int:
         """Spans opened but not yet finished (must drain to 0 after a
-        run — the dynamic side of ``span-must-finish``)."""
+        run)."""
         with self._lock:
             return len(self._open_spans) + sum(
                 len(self._ctx_open(ctx))

@@ -166,6 +166,93 @@ class TestSnapshotBoard:
             assert view.types["a"].epoch == 1
 
 
+def epoch_publication(epoch):
+    """Three type slots plus the general slot, all stamped ``epoch``."""
+    types = {name: snapshot_with([0.001 * epoch, 0.002], epoch=epoch)
+             for name in ("a", "b", "c")}
+    return types, snapshot_with([0.001 * epoch], epoch=epoch)
+
+
+def assert_coherent(view):
+    """Publication ``k`` carries epoch ``k`` and lands at generation
+    ``2k``, so a view whose epochs disagree with its generation (or with
+    each other) is torn."""
+    epochs = {snapshot.epoch for snapshot in view.types.values()}
+    epochs.add(view.general.epoch)
+    assert epochs == {view.generation // 2}, (view.generation, epochs)
+
+
+class TestSeqlockTornReads:
+    """The seqlock's two halves, each driven into its race window
+    deterministically: no thread has to lose the GIL at the right
+    instruction for a broken reader or writer to show."""
+
+    def test_publish_between_generation_load_and_copy_is_retried(
+            self, monkeypatch):
+        import repro.gateway.snapshot as snapshot_mod
+
+        with SnapshotBoard.create(slots=4) as board:
+            board.publish(*epoch_publication(1))
+            used = snapshot_mod._USED
+            pending = [epoch_publication(2)]
+
+            class PublishBeforeCopy:
+                # read() loads the used-slot count after its first
+                # generation load and right before the payload copy.
+                size = used.size
+                pack_into = used.pack_into
+
+                def unpack_from(self, *args):
+                    if pending:
+                        board.publish(*pending.pop())
+                    return used.unpack_from(*args)
+
+            monkeypatch.setattr(snapshot_mod, "_USED", PublishBeforeCopy())
+            view = board.read()
+            assert not pending, "the interleaved publish never ran"
+            assert_coherent(view)
+            assert view.generation == 4
+
+    def test_read_inside_publish_never_returns_the_half_written_view(
+            self, monkeypatch):
+        import repro.gateway.snapshot as snapshot_mod
+
+        with SnapshotBoard.create(slots=4) as board:
+            board.publish(*epoch_publication(1))
+            name_len = snapshot_mod._NAME_LEN
+            writes = []
+            seen = []
+
+            class ReadBeforeLastSlot:
+                # publish() writes one name length per slot; the fourth
+                # opens the last slot, after the first three were
+                # rewritten with the new epoch.
+                size = name_len.size
+                unpack_from = name_len.unpack_from
+
+                def pack_into(self, *args):
+                    writes.append(args)
+                    if len(writes) == 4:
+                        try:
+                            seen.append(board.read())
+                        except RuntimeError:
+                            seen.append("raised")
+                    return name_len.pack_into(*args)
+
+            monkeypatch.setattr(snapshot_mod, "_NAME_LEN",
+                                ReadBeforeLastSlot())
+            monkeypatch.setattr(snapshot_mod, "_READ_RETRIES", 8)
+            board.publish(*epoch_publication(2))
+            monkeypatch.undo()
+            assert len(seen) == 1
+            # Mid-publish the generation is odd: the reader must retry
+            # and, with the writer parked under it, give up rather than
+            # hand out a view mixing two publications.
+            if seen[0] != "raised":
+                assert_coherent(seen[0])
+            assert_coherent(board.read())
+
+
 class TestReaderBackoff:
     def test_spins_before_sleeping(self, monkeypatch):
         import repro.gateway.snapshot as snapshot_mod

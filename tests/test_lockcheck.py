@@ -2,8 +2,8 @@
 
 The centerpiece is the ABBA test: two locks acquired in opposite orders
 must produce a cycle report carrying the stacks of *both* conflicting
-acquisitions.  The remaining tests cover reentrancy, scoped installation,
-multi-thread edges, and the `--dynamic` CLI workload's plumbing.
+acquisitions.  The remaining tests cover reentrancy, scoped installation
+and multi-thread edges.
 """
 
 from __future__ import annotations
@@ -256,56 +256,3 @@ class TestInstall:
         finally:
             uninstall()
         registry.check()
-
-
-class TestDynamicWorkload:
-    def test_render_report_lists_violations(self, registry):
-        from repro.analysis.dynamic import render_dynamic_report
-
-        lock_a, lock_b = make_pair(registry)
-        with lock_a:
-            with lock_b:
-                pass
-        with lock_b:
-            with lock_a:
-                pass
-        report = render_dynamic_report(registry)
-        assert "1 violation(s)" in report
-        assert "potential deadlock" in report
-
-
-class TestSeqlockRace:
-    def test_clean_writer_yields_zero_torn_reads(self):
-        from repro.analysis.dynamic import run_seqlock_race
-
-        report = run_seqlock_race(seed=7, reads=120, publishes=60)
-        assert report.torn == 0
-        assert report.reads > 0
-        assert report.generations >= 1
-
-    def test_seeded_unprotected_write_is_detected(self):
-        # The falsifiability check: a write that skips the generation
-        # bumps MUST show up as torn reads, or the clean result above
-        # proves nothing.
-        from repro.analysis.dynamic import run_seqlock_race
-
-        report = run_seqlock_race(seed=7, reads=30, publishes=4,
-                                  buggy_writer=True)
-        assert report.reads > 0
-        assert report.torn == report.reads
-
-
-class TestRunDynamicCheck:
-    def test_in_process_legs_run_clean(self):
-        # gateway=False skips the spawned fleet (covered by the gateway
-        # tests and the CI --dynamic leg) to keep this test fast.
-        from repro.analysis.dynamic import (render_check_report,
-                                            run_dynamic_check)
-
-        result = run_dynamic_check(seed=3, gateway=False)
-        assert result.ok(), result.problems()
-        assert result.gateway_decisions is None
-        assert result.race is not None and result.race.torn == 0
-        report = render_check_report(result)
-        assert "dynamic lockcheck" in report
-        assert "seqlock race" in report

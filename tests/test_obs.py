@@ -111,7 +111,11 @@ class TestRenderMetrics:
 class TestRenderMetricsConcurrent:
     def test_counters_monotonic_under_concurrent_load(self):
         """Scrapes taken mid-flight on a starvation-wrapped Bouncer must
-        parse and never show a counter going backwards."""
+        parse and never show a counter going backwards.
+
+        ``repro.core`` is lock-free: the host serializes every call into
+        the policy, scrapes included.  ``host_lock`` plays that host, the
+        way ``AdmissionServer``'s one lock does."""
         policy, clock, queue = make_bouncer()
         for _ in range(50):
             policy.on_completed(Query(qtype="slow"), 0.0, 0.030)
@@ -119,6 +123,7 @@ class TestRenderMetricsConcurrent:
         clock.advance(1.0)
         wrapper = AcceptanceAllowancePolicy(policy, clock, allowance=0.05,
                                             seed=3)
+        host_lock = threading.Lock()
         stop = threading.Event()
         errors = []
 
@@ -126,11 +131,13 @@ class TestRenderMetricsConcurrent:
             while not stop.is_set():
                 for qtype in ("fast", "slow"):
                     query = Query(qtype=qtype)
-                    result = wrapper.decide(query)
+                    with host_lock:
+                        result = wrapper.decide(query)
                     if result.accepted:
-                        wrapper.on_completed(
-                            query, 0.0,
-                            0.002 if qtype == "fast" else 0.030)
+                        with host_lock:
+                            wrapper.on_completed(
+                                query, 0.0,
+                                0.002 if qtype == "fast" else 0.030)
 
         counter_re = re.compile(
             r"^(repro_admission_\w+_total(?:\{[^}]*\})?) (\d+)$")
@@ -138,7 +145,8 @@ class TestRenderMetricsConcurrent:
         def scrape_loop():
             last = {}
             for _ in range(200):
-                text = render_metrics(wrapper, queue)
+                with host_lock:
+                    text = render_metrics(wrapper, queue)
                 for line in text.splitlines():
                     match = counter_re.match(line)
                     if not match:

@@ -12,8 +12,11 @@ import json
 
 import pytest
 
-from repro.bench.experiments import make_bouncer, simulation_mix
+from repro.bench.experiments import (cluster_config, cluster_slos,
+                                     make_bouncer, simulation_mix)
 from repro.exceptions import ConfigurationError
+from repro.faults import NAMED_PLANS, FaultInjector, named_plan
+from repro.liquid.cluster_sim import ResilienceConfig, run_cluster_simulation
 from repro.sim.driver import run_simulation
 from repro.telemetry import (CalibrationTracker, DecisionTracer, Span,
                              SpanContext, SpanRecorder, Telemetry,
@@ -349,3 +352,23 @@ class TestDifferentialSpansOnOff:
         assert recorder.recorded > 0
         roots = [s for s in recorder.spans() if s.parent_id is None]
         assert roots and all(s.end is not None for s in recorder.spans())
+
+
+class TestClusterSpansDrain:
+    @pytest.mark.parametrize("plan", [None] + sorted(NAMED_PLANS))
+    def test_every_span_closes_fault_free_and_under_each_plan(self, plan):
+        """Every broker, shard-attempt, retry and hedge span of a traced
+        cluster run is finished on some exit path: a handle the cluster
+        model opens and drops stays in the recorder's open table."""
+        telemetry = Telemetry(spans=SpanRecorder(sample_rate=1.0))
+        faults = {}
+        if plan is not None:
+            faults = dict(fault_injector=FaultInjector(named_plan(plan)),
+                          resilience=ResilienceConfig())
+        run_cluster_simulation(
+            cluster_config(seed=5), make_bouncer(cluster_slos()),
+            rate_qps=9000.0, num_queries=3000, seed=5,
+            telemetry=telemetry, **faults)
+        recorder = telemetry.spans
+        assert recorder.recorded > 0
+        assert recorder.open_count == 0
