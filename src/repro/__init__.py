@@ -19,6 +19,10 @@ The package provides:
   with Prometheus-text exposition, per-query decision traces at the
   paper's Figure-1 metric points, and an HTTP scrape endpoint.
 
+Every public name below is importable from ``repro`` itself and is loaded
+from its defining module on first use, so ``import repro`` costs nothing
+and a process pays only for the layers it touches.
+
 Quickstart::
 
     from repro import (BouncerConfig, BouncerPolicy, LatencySLO,
@@ -40,111 +44,64 @@ Quickstart::
     print(report)
 """
 
-from .core import (DECISION_ALL, DECISION_ANY, DEFAULT_QUERY_TYPE,
-                   AcceptanceAllowancePolicy, AcceptFractionConfig,
-                   AcceptFractionPolicy, AdmissionPolicy, AdmissionResult,
-                   AlwaysAcceptPolicy, AlwaysRejectPolicy, BouncerConfig,
-                   BouncerEstimate, BouncerPolicy, BucketLayout, Clock,
-                   Decision, DualBufferHistogram, HelpingTheUnderservedPolicy,
-                   HistogramSnapshot, HostContext, LatencyHistogram,
-                   LatencySLO, ManualClock, MaxQueueLengthPolicy,
-                   MaxQueueWaitTimePolicy, MonotonicClock, PolicyStats, Query,
-                   QueueLimitWrapper, QueueView, RejectReason, SLORegistry,
-                   SlidingWindowCounts, SlidingWindowHistogram,
-                   SlidingWindowStats, TypeCounters)
-from .exceptions import (ConfigurationError, QueryRejectedError, ReproError,
-                         ShuttingDownError, SimulationError)
-from .liquid import (ClusterConfig, ClusterReport, CountQuery,
-                     DistanceQuery, EdgeQuery, FanoutQuery, LiquidService,
-                     QueryTypeCost, build_random_graph, linkedin_cost_table,
-                     run_cluster_simulation, sample_graph_queries)
-from .runtime import AdmissionServer, LoadGenerator, LoadResult
-from .sim import (ArrivalSchedule, QueryTypeSpec, SimulatedServer,
-                  SimulationReport, Simulator, TypeStats, WorkloadMix,
-                  run_simulation)
-from .telemetry import (CalibrationTracker, DecisionTracer,
-                        MetricsRegistry, Span, SpanRecorder, Telemetry,
-                        TelemetryHTTPServer, TraceEvent)
+from typing import Any, List
+
+from ._lazy import LazyExports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # exceptions
-    "ConfigurationError",
-    "QueryRejectedError",
-    "ReproError",
-    "ShuttingDownError",
-    "SimulationError",
+_EXPORTS = LazyExports(globals(), {
+    ".exceptions": "ConfigurationError QueryRejectedError ReproError "
+                   "ShuttingDownError SimulationError",
     # core
-    "AcceptFractionConfig",
-    "AcceptFractionPolicy",
-    "AcceptanceAllowancePolicy",
-    "AdmissionPolicy",
-    "AdmissionResult",
-    "AlwaysAcceptPolicy",
-    "AlwaysRejectPolicy",
-    "BouncerConfig",
-    "BouncerEstimate",
-    "BouncerPolicy",
-    "BucketLayout",
-    "Clock",
-    "DECISION_ALL",
-    "DECISION_ANY",
-    "DEFAULT_QUERY_TYPE",
-    "Decision",
-    "DualBufferHistogram",
-    "HelpingTheUnderservedPolicy",
-    "HistogramSnapshot",
-    "HostContext",
-    "LatencyHistogram",
-    "LatencySLO",
-    "ManualClock",
-    "MaxQueueLengthPolicy",
-    "MaxQueueWaitTimePolicy",
-    "MonotonicClock",
-    "PolicyStats",
-    "Query",
-    "QueueLimitWrapper",
-    "QueueView",
-    "RejectReason",
-    "SLORegistry",
-    "SlidingWindowCounts",
-    "SlidingWindowHistogram",
-    "SlidingWindowStats",
-    "TypeCounters",
+    ".core.baselines.accept_fraction": "AcceptFractionConfig "
+                                       "AcceptFractionPolicy",
+    ".core.baselines.max_queue_length": "MaxQueueLengthPolicy",
+    ".core.baselines.max_queue_wait": "MaxQueueWaitTimePolicy",
+    ".core.baselines.queue_cap": "QueueLimitWrapper",
+    ".core.bouncer": "DECISION_ALL DECISION_ANY BouncerConfig "
+                     "BouncerEstimate BouncerPolicy",
+    ".core.clock": "Clock ManualClock MonotonicClock",
+    ".core.context": "HostContext",
+    ".core.dual_buffer": "DualBufferHistogram SlidingWindowHistogram",
+    ".core.histogram": "BucketLayout HistogramSnapshot LatencyHistogram",
+    ".core.policy": "AdmissionPolicy AlwaysAcceptPolicy AlwaysRejectPolicy "
+                    "PolicyStats QueueView TypeCounters",
+    ".core.sliding_window": "SlidingWindowCounts SlidingWindowStats",
+    ".core.slo": "LatencySLO SLORegistry",
+    ".core.starvation": "AcceptanceAllowancePolicy "
+                        "HelpingTheUnderservedPolicy",
+    ".core.types": "DEFAULT_QUERY_TYPE AdmissionResult Decision Query "
+                   "RejectReason",
     # liquid
-    "ClusterConfig",
-    "ClusterReport",
-    "CountQuery",
-    "DistanceQuery",
-    "EdgeQuery",
-    "FanoutQuery",
-    "LiquidService",
-    "QueryTypeCost",
-    "build_random_graph",
-    "linkedin_cost_table",
-    "run_cluster_simulation",
-    "sample_graph_queries",
+    ".liquid.cluster_sim": "ClusterConfig ClusterReport QueryTypeCost "
+                           "run_cluster_simulation",
+    ".liquid.query": "CountQuery DistanceQuery EdgeQuery FanoutQuery",
+    ".liquid.service": "LiquidService build_random_graph",
+    ".liquid.traces": "linkedin_cost_table sample_graph_queries",
     # runtime
-    "AdmissionServer",
-    "LoadGenerator",
-    "LoadResult",
+    ".runtime.loadgen": "LoadGenerator LoadResult",
+    ".runtime.server": "AdmissionServer",
     # sim
-    "ArrivalSchedule",
-    "QueryTypeSpec",
-    "SimulatedServer",
-    "SimulationReport",
-    "Simulator",
-    "TypeStats",
-    "WorkloadMix",
-    "run_simulation",
+    ".sim.driver": "run_simulation",
+    ".sim.report": "SimulationReport TypeStats",
+    ".sim.server": "SimulatedServer",
+    ".sim.simulator": "Simulator",
+    ".sim.workload": "ArrivalSchedule QueryTypeSpec WorkloadMix",
     # telemetry
-    "CalibrationTracker",
-    "DecisionTracer",
-    "MetricsRegistry",
-    "Span",
-    "SpanRecorder",
-    "Telemetry",
-    "TelemetryHTTPServer",
-    "TraceEvent",
-]
+    ".telemetry.calibration": "CalibrationTracker",
+    ".telemetry.http": "TelemetryHTTPServer",
+    ".telemetry.hub": "Telemetry",
+    ".telemetry.registry": "MetricsRegistry",
+    ".telemetry.spans": "Span SpanRecorder",
+    ".telemetry.tracer": "DecisionTracer TraceEvent",
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.load(name)
+
+
+def __dir__() -> List[str]:
+    return _EXPORTS.dir()

@@ -26,7 +26,8 @@ from ..core import (AcceptanceAllowancePolicy, AcceptFractionConfig,
                     BouncerPolicy, HelpingTheUnderservedPolicy, HostContext,
                     LatencySLO, MaxQueueLengthPolicy, MaxQueueWaitTimePolicy,
                     SLORegistry)
-from ..liquid import ClusterConfig, linkedin_cost_table
+from ..liquid.cluster_sim import ClusterConfig
+from ..liquid.traces import linkedin_cost_table
 from ..sim import QueryTypeSpec, WorkloadMix
 
 PolicyFactory = Callable[[HostContext], AdmissionPolicy]

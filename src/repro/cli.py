@@ -35,29 +35,11 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .bench import (CLUSTER_SCALE, cluster_config, cluster_policy_lineup,
-                    cluster_slos, format_table, make_accept_fraction,
-                    make_bouncer, make_bouncer_aa, make_bouncer_hu,
-                    make_maxql, make_maxqwt, simulation_mix)
-from .core import (GatekeeperConfig, GatekeeperPolicy, QCopConfig,
-                   QCopPolicy)
 from .exceptions import ReproError
-from .liquid import run_cluster_simulation
-from .sim import run_simulation
 
-SIM_POLICIES = {
-    "bouncer": lambda: make_bouncer(),
-    "bouncer-aa": lambda: make_bouncer_aa(allowance=0.05),
-    "bouncer-hu": lambda: make_bouncer_hu(alpha=1.0),
-    "maxql": lambda: make_maxql(limit=400),
-    "maxqwt": lambda: make_maxqwt(limit=0.015),
-    "accept-fraction": lambda: make_accept_fraction(max_utilization=0.95),
-    # Related-work comparators (paper §6 / future work §7).
-    "gatekeeper": lambda: (lambda ctx: GatekeeperPolicy(
-        ctx, GatekeeperConfig(max_outstanding_time=0.030))),
-    "qcop": lambda: (lambda ctx: QCopPolicy(
-        ctx, QCopConfig(timeout=0.050, learning_rate=0.2))),
-}
+#: ``--policy`` choices of the single-host verbs (see :func:`_sim_policy`).
+SIM_POLICIES = ("accept-fraction", "bouncer", "bouncer-aa", "bouncer-hu",
+                "gatekeeper", "maxql", "maxqwt", "qcop")
 
 CLUSTER_POLICIES = {
     "bouncer-aa": "Bouncer+AA",
@@ -72,7 +54,33 @@ CLUSTER_POLICIES = {
 CHAOS_POLICIES = ("bouncer",) + tuple(CLUSTER_POLICIES)
 
 
+def _sim_policy(name: str) -> Any:
+    """The policy factory ``--policy name`` runs on the single host."""
+    from .bench import (make_accept_fraction, make_bouncer, make_bouncer_aa,
+                        make_bouncer_hu, make_maxql, make_maxqwt)
+    from .core import (GatekeeperConfig, GatekeeperPolicy, QCopConfig,
+                       QCopPolicy)
+
+    if name == "gatekeeper":    # related-work comparators (§6 / §7)
+        return lambda ctx: GatekeeperPolicy(
+            ctx, GatekeeperConfig(max_outstanding_time=0.030))
+    if name == "qcop":
+        return lambda ctx: QCopPolicy(
+            ctx, QCopConfig(timeout=0.050, learning_rate=0.2))
+    return {
+        "bouncer": lambda: make_bouncer(),
+        "bouncer-aa": lambda: make_bouncer_aa(allowance=0.05),
+        "bouncer-hu": lambda: make_bouncer_hu(alpha=1.0),
+        "maxql": lambda: make_maxql(limit=400),
+        "maxqwt": lambda: make_maxqwt(limit=0.015),
+        "accept-fraction": lambda: make_accept_fraction(
+            max_utilization=0.95),
+    }[name]()
+
+
 def _chaos_policy_factory(name: str) -> Any:
+    from .bench import cluster_policy_lineup, cluster_slos, make_bouncer
+
     if name == "bouncer":
         return make_bouncer(slos=cluster_slos())
     return dict(cluster_policy_lineup())[CLUSTER_POLICIES[name]]
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate",
                          help="single-host simulation study (paper §5.3)")
-    sim.add_argument("--policy", choices=sorted(SIM_POLICIES),
+    sim.add_argument("--policy", choices=SIM_POLICIES,
                      default="bouncer")
     sim.add_argument("--factors", default="1.0,1.2,1.5",
                      help="comma-separated multiples of QPS_full_load")
@@ -141,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     spans.add_argument("--input", default=None,
                        help="load an exported span JSONL instead of "
                             "running a simulation")
-    spans.add_argument("--policy", choices=sorted(SIM_POLICIES),
+    spans.add_argument("--policy", choices=SIM_POLICIES,
                        default="bouncer")
     spans.add_argument("--factor", type=float, default=1.2,
                        help="load as a multiple of QPS_full_load")
@@ -170,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--trace", default=None,
                            help="replay an exported decision-trace JSONL "
                                 "instead of running a simulation")
-    calibrate.add_argument("--policy", choices=sorted(SIM_POLICIES),
+    calibrate.add_argument("--policy", choices=SIM_POLICIES,
                            default="bouncer")
     calibrate.add_argument("--factor", type=float, default=1.2,
                            help="load as a multiple of QPS_full_load")
@@ -204,8 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the §5.3 single-host study and print per-type outcome tables."""
+    from .bench import format_table, simulation_mix
+    from .sim.driver import run_simulation
+
     mix = simulation_mix()
-    factory = SIM_POLICIES[args.policy]()
+    factory = _sim_policy(args.policy)
     full_load = mix.full_load_qps(args.parallelism)
     for raw in args.factors.split(","):
         factor = float(raw)
@@ -239,6 +250,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Run the §5.4 cluster model and print per-type outcome tables."""
+    from .bench import (CLUSTER_SCALE, cluster_config, cluster_policy_lineup,
+                        format_table)
+    from .liquid.cluster_sim import run_cluster_simulation
+
     config = cluster_config(seed=args.seed)
     factory = dict(cluster_policy_lineup())[CLUSTER_POLICIES[args.policy]]
     for raw in args.rates.split(","):
@@ -270,6 +285,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run a named fault plan on the cluster model and print the report."""
+    from .bench import cluster_config
     from .faults import named_plan
     from .faults.chaos import render_chaos_table, run_chaos
 
@@ -289,7 +305,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
     """Summarize an exported decision trace into the §5-style tables."""
-    from .telemetry import render_trace_report, summarize_trace
+    from .telemetry.report import render_trace_report, summarize_trace
 
     try:
         summary = summarize_trace(args.path)
@@ -312,8 +328,10 @@ def _make_span_telemetry(sample_rate: float, spans: bool = True,
                          calibration: bool = False,
                          window: Optional[int] = None) -> Any:
     """Build a ``Telemetry`` facade for the observability CLI commands."""
-    from .telemetry import (CalibrationTracker, MetricsRegistry,
-                            SpanRecorder, Telemetry)
+    from .telemetry.calibration import CalibrationTracker
+    from .telemetry.hub import Telemetry
+    from .telemetry.registry import MetricsRegistry
+    from .telemetry.spans import SpanRecorder
 
     kwargs = {}
     if spans:
@@ -334,8 +352,11 @@ def _check_sample_rate(rate: float) -> Optional[str]:
 
 def cmd_spans(args: argparse.Namespace) -> int:
     """Span-trace a run (or load an export) and print the breakdown."""
-    from .telemetry import (load_spans_jsonl, render_chrome_trace,
-                            render_span_report, summarize_spans)
+    from .bench import cluster_config, simulation_mix
+    from .liquid.cluster_sim import run_cluster_simulation
+    from .sim.driver import run_simulation
+    from .telemetry.spans import (load_spans_jsonl, render_chrome_trace,
+                                  render_span_report, summarize_spans)
 
     if args.input is not None:
         try:
@@ -370,7 +391,7 @@ def cmd_spans(args: argparse.Namespace) -> int:
         else:
             mix = simulation_mix()
             rate = args.factor * mix.full_load_qps(args.parallelism)
-            run_simulation(mix, SIM_POLICIES[args.policy](),
+            run_simulation(mix, _sim_policy(args.policy),
                            rate_qps=rate, num_queries=args.queries,
                            parallelism=args.parallelism, seed=args.seed,
                            telemetry=telemetry)
@@ -400,8 +421,11 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
 def cmd_calibrate_report(args: argparse.Namespace) -> int:
     """Join Eq. 2/3/4 estimates to measurements and print the tables."""
-    from .telemetry import (calibration_from_events, load_jsonl,
-                            render_calibration_report)
+    from .bench import simulation_mix
+    from .sim.driver import run_simulation
+    from .telemetry.calibration import (calibration_from_events,
+                                        render_calibration_report)
+    from .telemetry.tracer import load_jsonl
 
     if args.trace is not None:
         try:
@@ -428,7 +452,7 @@ def cmd_calibrate_report(args: argparse.Namespace) -> int:
                                          window=args.window)
         mix = simulation_mix()
         rate = args.factor * mix.full_load_qps(args.parallelism)
-        run_simulation(mix, SIM_POLICIES[args.policy](),
+        run_simulation(mix, _sim_policy(args.policy),
                        rate_qps=rate, num_queries=args.queries,
                        parallelism=args.parallelism, seed=args.seed,
                        telemetry=telemetry)
@@ -481,6 +505,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_info() -> int:
     """Print the reproduction's workload, SLO, and cluster configuration."""
+    from .bench import (CLUSTER_SCALE, cluster_config, format_table,
+                        simulation_mix)
+
     mix = simulation_mix()
     config = cluster_config()
     print(f"repro {__version__} — reproduction of 'Bouncer: Admission "

@@ -28,7 +28,7 @@ import threading
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # telemetry imports core only; avoid an import cycle here
-    from ..telemetry import Telemetry
+    from ..telemetry.hub import Telemetry
 
 from ..core.clock import at_or_after
 from ..core.types import AdmissionResult, Query, RejectReason

@@ -13,18 +13,23 @@ fleet and the board; :mod:`repro.gateway.loadgen` drives it open-loop
 from generator processes.  See ``docs/gateway.md``.
 """
 
-from .hashring import ShardRouter
-from .loadgen import LoadgenReport, run_open_loop
-from .server import GatewayServer, PolicySpec, WorkerStats
-from .snapshot import BOARD_DEFAULT_SLOTS, SnapshotBoard
+from typing import Any, List
 
-__all__ = [
-    "BOARD_DEFAULT_SLOTS",
-    "GatewayServer",
-    "LoadgenReport",
-    "PolicySpec",
-    "ShardRouter",
-    "SnapshotBoard",
-    "WorkerStats",
-    "run_open_loop",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(globals(), {
+    ".hashring": "ShardRouter",
+    ".loadgen": "LoadgenReport run_open_loop",
+    ".server": "GatewayServer WorkerStats",
+    ".snapshot": "BOARD_DEFAULT_SLOTS SnapshotBoard",
+    ".worker": "PolicySpec",
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.load(name)
+
+
+def __dir__() -> List[str]:
+    return _EXPORTS.dir()

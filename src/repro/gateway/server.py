@@ -30,8 +30,9 @@ import socket
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Set)
+from multiprocessing.connection import Connection, wait
+from typing import (Any, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Set)
 
 from ..core.clock import MonotonicClock
 from ..core.histogram import BucketLayout, HistogramSnapshot
@@ -119,52 +120,81 @@ class GatewayServer:
 
     # -- lifecycle -------------------------------------------------------
     def start(self, timeout: float = 60.0) -> None:
-        """Create the board, spawn the fleet, wait for every socket."""
+        """Create the board, spawn the fleet, connect to every worker once
+        it listens.
+
+        A worker that exits first, or a fleet not listening within
+        ``timeout``, raises :class:`ConfigurationError` after the fleet is
+        stopped and the board unlinked.
+        """
         if self._started:
             return
         if self._runtime_dir is None:
             self._runtime_dir = tempfile.mkdtemp(prefix="repro-gw-")
             self._owns_dir = True
-        self._board = SnapshotBoard.create(slots=self._board_slots,
-                                           layout=self._layout)
-        for shard in range(self.shards):
-            spec = WorkerSpec(
-                shard=shard,
-                socket_path=os.path.join(self._runtime_dir,
-                                         f"shard-{shard}.sock"),
-                log_path=os.path.join(self._runtime_dir,
-                                      f"decisions-{shard}.log"),
-                board_name=self._board.name,
-                policy=self.policy_spec)
-            self.decision_log_paths[shard] = spec.log_path
-            proc = self._ctx.Process(target=worker_main, args=(spec,),
-                                     name=f"repro-gw-{shard}", daemon=True)
-            proc.start()
-            self._procs.append(proc)
-        deadline = self._clock.now() + timeout
-        for shard in range(self.shards):
-            self._conns[shard] = self._await_socket(shard, deadline)
-            self._files[shard] = self._conns[shard].makefile("rwb")
+        waiting: Dict[Connection, int] = {}
+        try:
+            self._board = SnapshotBoard.create(slots=self._board_slots,
+                                               layout=self._layout)
+            for shard, path in self.socket_paths().items():
+                # The worker says it listens over ``ready``; its exit
+                # closes the pipe.
+                reader, ready = self._ctx.Pipe(duplex=False)
+                waiting[reader] = shard
+                spec = WorkerSpec(
+                    shard=shard, socket_path=path,
+                    log_path=os.path.join(self._runtime_dir,
+                                          f"decisions-{shard}.log"),
+                    board_name=self._board.name, policy=self.policy_spec,
+                    ready=ready)
+                self.decision_log_paths[shard] = spec.log_path
+                proc = self._ctx.Process(target=worker_main, args=(spec,),
+                                         name=f"repro-gw-{shard}",
+                                         daemon=True)
+                proc.start()
+                self._procs.append(proc)
+                ready.close()
+            self._await_listening(waiting, self._clock.now() + timeout)
+            for shard, path in self.socket_paths().items():
+                conn = self._conns[shard] = socket.socket(socket.AF_UNIX,
+                                                          socket.SOCK_STREAM)
+                conn.connect(path)
+                self._files[shard] = conn.makefile("rwb")
+        except BaseException:
+            self.stop(timeout=0.0)
+            raise
+        finally:
+            for reader in waiting:
+                reader.close()
         self._started = True
 
-    def _await_socket(self, shard: int, deadline: float) -> socket.socket:
-        path = os.path.join(self._runtime_dir or "",
-                            f"shard-{shard}.sock")
-        while True:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.connect(path)
-                return sock
-            except OSError:
-                sock.close()
-                if not self._procs[shard].is_alive():
-                    raise ConfigurationError(
-                        f"gateway worker {shard} died during startup "
-                        f"(exit code {self._procs[shard].exitcode})")
-                if self._clock.now() > deadline:
-                    raise ConfigurationError(
-                        f"gateway worker {shard} did not come up in time")
-                self._clock.sleep(0.02)
+    def _await_listening(self, waiting: Dict[Connection, int],
+                         deadline: float) -> None:
+        """Block until every worker in ``waiting`` has said it listens."""
+        waiting = dict(waiting)
+        while waiting:
+            left = deadline - self._clock.now()
+            if left <= 0:
+                raise ConfigurationError(
+                    f"gateway worker(s) {sorted(waiting.values())} did not "
+                    f"come up in time")
+            owner: Dict[Any, int] = dict(waiting)
+            owner.update((self._procs[shard].sentinel, shard)
+                         for shard in waiting.values())
+            for event in wait(list(owner), timeout=left):
+                if isinstance(event, Connection):
+                    try:
+                        event.recv_bytes()
+                    except EOFError:      # closed unsent: the worker exited
+                        pass
+                    else:
+                        del waiting[event]
+                        continue
+                proc = self._procs[owner[event]]
+                proc.join(timeout=5.0)
+                raise ConfigurationError(
+                    f"gateway worker {owner[event]} died during startup "
+                    f"(exit code {proc.exitcode})")
 
     def socket_paths(self) -> Dict[int, str]:
         """shard -> unix-socket path (load generators connect directly)."""

@@ -42,12 +42,16 @@ import selectors
 import socket
 import stat
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core import (BouncerConfig, BouncerPolicy, HostContext, LatencySLO,
                     ManualClock, QueueView, SLORegistry)
 from ..core.types import Query
 from .snapshot import SnapshotBoard
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: What may travel as one query type inside a ``d`` frame: printable
 #: ASCII with no comma (the separator) and no space or control character
@@ -113,13 +117,19 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker process needs, picklable for ``spawn``."""
+    """Everything one worker process needs, picklable for ``spawn``.
+
+    ``ready`` is the write end of a pipe the worker sends one empty
+    message on once its socket listens; the parent waits on it instead of
+    polling the socket path.
+    """
 
     shard: int
     socket_path: str
     log_path: str
     board_name: Optional[str]
     policy: PolicySpec
+    ready: Optional[Connection] = None
 
 
 class ShardEngine:
@@ -292,6 +302,9 @@ def worker_main(spec: WorkerSpec) -> None:
         listener.bind(spec.socket_path)
         listener.listen(100)
         selector.register(listener, selectors.EVENT_READ)
+        if spec.ready is not None:
+            spec.ready.send_bytes(b"")
+            spec.ready.close()
         while True:
             for key, _ in selector.select():
                 if key.fileobj is listener:

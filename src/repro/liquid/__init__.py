@@ -9,64 +9,34 @@ Two complementary pieces:
   broker/shard queueing network the §5.4 experiments run on.
 """
 
-from .cluster_sim import (FANOUT_ALL, FANOUT_ONE, BrokerHost, ClusterConfig,
-                          ClusterMetrics, ClusterReport, LiquidClusterSim,
-                          QueryTypeCost, ResilienceConfig, ShardHost,
-                          run_cluster_simulation)
-from .engine import ShardEngine
-from .partition import HashPartitioner, stable_hash
-from .query import (CountQuery, DistanceQuery, EdgeQuery, FanoutQuery,
-                    GraphQuery, QueryResult, SubQuery)
-from .rules import PathQuery, Rule, RuleEngine, parse_rule
-from .service import LiquidService, build_random_graph
-from .snapshot import load_snapshot, read_manifest, save_snapshot
-from .storage import EdgeStore
-from .traces import (LINKEDIN_MIX, linkedin_cost_table,
-                     linkedin_mix_proportions, sample_graph_queries)
-from .updates import (EdgeUpdate, ShardConsumer, UpdateLog, UpdateOp,
-                      UpdatePipeline)
-from .vlist import VList
+from typing import Any, List
 
-__all__ = [
-    "BrokerHost",
-    "ClusterConfig",
-    "ClusterMetrics",
-    "ClusterReport",
-    "CountQuery",
-    "DistanceQuery",
-    "EdgeQuery",
-    "EdgeStore",
-    "EdgeUpdate",
-    "FANOUT_ALL",
-    "FANOUT_ONE",
-    "FanoutQuery",
-    "GraphQuery",
-    "HashPartitioner",
-    "LINKEDIN_MIX",
-    "LiquidClusterSim",
-    "LiquidService",
-    "PathQuery",
-    "QueryResult",
-    "QueryTypeCost",
-    "ResilienceConfig",
-    "Rule",
-    "RuleEngine",
-    "ShardConsumer",
-    "ShardEngine",
-    "ShardHost",
-    "SubQuery",
-    "UpdateLog",
-    "UpdateOp",
-    "UpdatePipeline",
-    "VList",
-    "build_random_graph",
-    "linkedin_cost_table",
-    "load_snapshot",
-    "parse_rule",
-    "read_manifest",
-    "save_snapshot",
-    "linkedin_mix_proportions",
-    "run_cluster_simulation",
-    "sample_graph_queries",
-    "stable_hash",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(globals(), {
+    ".cluster_sim": "FANOUT_ALL FANOUT_ONE BrokerHost ClusterConfig "
+                    "ClusterMetrics ClusterReport LiquidClusterSim "
+                    "QueryTypeCost ResilienceConfig ShardHost "
+                    "run_cluster_simulation",
+    ".engine": "ShardEngine",
+    ".partition": "HashPartitioner stable_hash",
+    ".query": "CountQuery DistanceQuery EdgeQuery FanoutQuery GraphQuery "
+              "QueryResult SubQuery",
+    ".rules": "PathQuery Rule RuleEngine parse_rule",
+    ".service": "LiquidService build_random_graph",
+    ".snapshot": "load_snapshot read_manifest save_snapshot",
+    ".storage": "EdgeStore",
+    ".traces": "LINKEDIN_MIX linkedin_cost_table linkedin_mix_proportions "
+               "sample_graph_queries",
+    ".updates": "EdgeUpdate ShardConsumer UpdateLog UpdateOp UpdatePipeline",
+    ".vlist": "VList",
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.load(name)
+
+
+def __dir__() -> List[str]:
+    return _EXPORTS.dir()

@@ -41,7 +41,7 @@ from itertools import accumulate
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
     from ..faults import FaultInjector
-    from ..telemetry import Telemetry
+    from ..telemetry.hub import Telemetry
 
 from .._stats import mean, percentiles
 from ..core.baselines import AcceptFractionConfig, AcceptFractionPolicy

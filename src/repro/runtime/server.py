@@ -42,7 +42,8 @@ from ..exceptions import (ConfigurationError, DeadlineExceededError,
                           InjectedFaultError, QueryRejectedError,
                           ShuttingDownError)
 from ..faults import FaultInjector
-from ..telemetry import Telemetry, TelemetryHTTPServer, render_metrics
+from ..telemetry.http import TelemetryHTTPServer
+from ..telemetry.hub import Telemetry, render_metrics
 
 Handler = Callable[[Query], Any]
 PolicyFactory = Callable[[HostContext], AdmissionPolicy]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
     from ..faults import FaultInjector
-    from ..telemetry import Telemetry
+    from ..telemetry.hub import Telemetry
 
 from ..core.types import Query
 from ..exceptions import ConfigurationError

@@ -19,7 +19,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, List, Optional, Sequence,
 
 if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
     from ..faults import FaultInjector
-    from ..telemetry import Telemetry
+    from ..telemetry.hub import Telemetry
 
 from ..core.context import HostContext
 from ..core.policy import AdmissionPolicy, QueueView
@@ -118,10 +118,6 @@ class SimulatedServer:
         self._heap_seq = itertools.count()
         self._idle = parallelism
         self.metrics = ServerMetrics(start_time=sim.now)
-        # Exact utilization accounting: integral of busy processes over
-        # time, advanced on every dispatch/completion.
-        self._busy_integral = 0.0
-        self._busy_last_change = sim.now
 
     @property
     def queue_length(self) -> int:
@@ -234,22 +230,6 @@ class SimulatedServer:
         """
         self.metrics.reset(self._sim.now)
         self.policy.reset_stats()
-        self._account_busy()
-        self._busy_integral = 0.0
-
-    def _account_busy(self) -> None:
-        now = self._sim.now
-        self._busy_integral += (now - self._busy_last_change) * self.in_flight
-        self._busy_last_change = now
-
-    def utilization_now(self) -> float:
-        """Exact mean engine utilization since the measurement window
-        opened, up to the current instant (busy-process time integral)."""
-        self._account_busy()
-        span = self._sim.now - self.metrics.start_time
-        if span <= 0:
-            return 0.0
-        return self._busy_integral / (span * self.parallelism)
 
     # -- engine processes -------------------------------------------------
     def _pop_next(self) -> Optional[Query]:
@@ -293,7 +273,6 @@ class SimulatedServer:
             self.policy.on_dequeued(query, wait)
             if self._telemetry is not None:
                 self._telemetry.on_dequeue(query, now=now)
-            self._account_busy()
             self._idle -= 1
             service = (query.service_time
                        if query.service_time is not None
@@ -343,6 +322,5 @@ class SimulatedServer:
             if errored:
                 self._telemetry.span_mark_fault(query, "engine_error", now)
             self._telemetry.on_completion(query, now=now, errored=errored)
-        self._account_busy()
         self._idle += 1
         self._dispatch()

@@ -28,62 +28,34 @@ then skip all of this at the cost of one ``is None`` test per metric
 point.
 """
 
-from .calibration import (DEFAULT_MAX_PENDING, DEFAULT_WINDOW,
-                          CalibrationTracker, TypeCalibrationStats,
-                          calibration_from_events,
-                          render_calibration_report)
-from .http import (CHROME_TRACE_CONTENT_TYPE, METRICS_CONTENT_TYPE,
-                   TRACES_CONTENT_TYPE, TelemetryHTTPServer)
-from .hub import Telemetry, render_metrics
-from .registry import (DEFAULT_PREFIX, EXPOSITION_LAYOUT, MetricFamily,
-                       MetricsRegistry, escape_help, escape_label_value)
-from .report import (TraceSummary, TypeTraceSummary, render_trace_report,
-                     summarize_events, summarize_trace)
-from .spans import (DEFAULT_SPAN_CAPACITY, Span, SpanContext, SpanHandle,
-                    SpanRecorder, TypeSpanSummary, load_spans_jsonl,
-                    parse_spans_jsonl, render_chrome_trace,
-                    render_span_report, summarize_spans)
-from .tracer import (DEFAULT_CAPACITY, DecisionTracer, TraceEvent,
-                     load_jsonl, parse_jsonl)
+from typing import Any, List
 
-__all__ = [
-    "CHROME_TRACE_CONTENT_TYPE",
-    "CalibrationTracker",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_MAX_PENDING",
-    "DEFAULT_PREFIX",
-    "DEFAULT_SPAN_CAPACITY",
-    "DEFAULT_WINDOW",
-    "DecisionTracer",
-    "EXPOSITION_LAYOUT",
-    "METRICS_CONTENT_TYPE",
-    "MetricFamily",
-    "MetricsRegistry",
-    "Span",
-    "SpanContext",
-    "SpanHandle",
-    "SpanRecorder",
-    "TRACES_CONTENT_TYPE",
-    "Telemetry",
-    "TelemetryHTTPServer",
-    "TraceEvent",
-    "TraceSummary",
-    "TypeCalibrationStats",
-    "TypeSpanSummary",
-    "TypeTraceSummary",
-    "calibration_from_events",
-    "escape_help",
-    "escape_label_value",
-    "load_jsonl",
-    "load_spans_jsonl",
-    "parse_jsonl",
-    "parse_spans_jsonl",
-    "render_calibration_report",
-    "render_chrome_trace",
-    "render_metrics",
-    "render_span_report",
-    "render_trace_report",
-    "summarize_events",
-    "summarize_spans",
-    "summarize_trace",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(globals(), {
+    ".calibration": "DEFAULT_MAX_PENDING DEFAULT_WINDOW CalibrationTracker "
+                    "TypeCalibrationStats calibration_from_events "
+                    "render_calibration_report",
+    ".http": "CHROME_TRACE_CONTENT_TYPE METRICS_CONTENT_TYPE "
+             "TRACES_CONTENT_TYPE TelemetryHTTPServer",
+    ".hub": "Telemetry render_metrics",
+    ".registry": "DEFAULT_PREFIX EXPOSITION_LAYOUT MetricFamily "
+                 "MetricsRegistry escape_help escape_label_value",
+    ".report": "TraceSummary TypeTraceSummary render_trace_report "
+               "summarize_events summarize_trace",
+    ".spans": "DEFAULT_SPAN_CAPACITY Span SpanContext SpanHandle "
+              "SpanRecorder TypeSpanSummary load_spans_jsonl "
+              "parse_spans_jsonl render_chrome_trace render_span_report "
+              "summarize_spans",
+    ".tracer": "DEFAULT_CAPACITY DecisionTracer TraceEvent load_jsonl "
+               "parse_jsonl",
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.load(name)
+
+
+def __dir__() -> List[str]:
+    return _EXPORTS.dir()

@@ -747,6 +747,19 @@ class TestGatewayServer:
         assert report.achieved_qps > 0
         assert sum(report.per_shard_sent.values()) == report.sent
 
+    def test_worker_that_dies_during_startup_is_named(self, tmp_path):
+        # An SLO without a percentile: PolicySpec.build raises in the
+        # worker, before its socket listens.
+        server = GatewayServer(tiny_spec(default_slo={}), shards=2,
+                               runtime_dir=str(tmp_path))
+        with pytest.raises(ConfigurationError,
+                           match=r"gateway worker [01] died during startup "
+                                 r"\(exit code 1\)"):
+            server.start()
+        assert not [proc for proc in multiprocessing.active_children()
+                    if proc.name.startswith("repro-gw-")]
+        assert server._procs == [] and server._board is None
+
     def test_rejects_bad_shards(self):
         with pytest.raises(ConfigurationError):
             GatewayServer(tiny_spec(), shards=0)

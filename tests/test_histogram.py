@@ -1,6 +1,8 @@
 """Unit tests for repro.core.histogram."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.histogram import (BucketLayout, LatencyHistogram,
                                   empty_snapshot)
@@ -106,6 +108,48 @@ class TestLatencyHistogram:
         assert hist.count == 1
         assert hist.percentile(50) <= layout.upper_bound(
             layout.num_buckets - 1)
+
+
+#: A small layout, so the ``max_value`` clamp is hit often.
+CLAMPED = BucketLayout(max_value=10.0)
+#: Values ``record`` treats specially: 0.0, the clamp edge and past it,
+#: NaN, negatives and the infinities.
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 10.0, 11.0, float("inf"),
+                               float("nan"), -1e-3, -float("inf")])
+
+
+def _recorded(hist, record):
+    """Feed ``hist`` through ``record`` and describe what it holds: the
+    bucket counts, the count, the bit pattern of the sum and the error."""
+    try:
+        record(hist)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    data = hist.snapshot().to_dict()
+    return data["buckets"], data["count"], data["sum"].hex(), error
+
+
+class TestRecordMany:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 20.0), EDGE_VALUES),
+                    max_size=40))
+    def test_equals_the_record_loop(self, values):
+        def loop(hist):
+            for value in values:
+                hist.record(value)
+
+        assert _recorded(LatencyHistogram(CLAMPED),
+                         lambda hist: hist.record_many(values)) == \
+            _recorded(LatencyHistogram(CLAMPED), loop)
+
+    def test_nan_mid_batch_keeps_what_came_before(self):
+        hist = LatencyHistogram()
+        with pytest.raises(ValueError, match="NaN"):
+            hist.record_many([0.001, 0.002, float("nan"), 0.003])
+        assert hist.count == 2
+        assert sum(hist.snapshot().to_dict()["buckets"].values()) == 2
+        assert hist.mean() == (0.001 + 0.002) / 2
 
 
 class TestHistogramSnapshot:
