@@ -404,28 +404,17 @@ class LatencyHistogram:
         accumulated with the same left-to-right float additions (an
         explicit ``+=`` loop — not ``sum()``, whose compensated summation
         would round differently), and what was recorded before the bad
-        value stays counted.  The bucket search is
-        :meth:`BucketLayout.index_for` inlined, so a batch pays no call
-        per value.
+        value stays counted.
         """
-        layout = self._layout
         counts = self._counts
-        bounds = layout._bounds
-        max_value = layout.max_value
-        last = layout.num_buckets - 1
+        index_for = self._layout.index_for
         total = self._sum
         recorded = 0
         try:
             for value in values:
-                if not value < max_value:
-                    if value != value:
-                        raise ValueError("cannot bucket NaN")
-                    counts[last] += 1
-                elif value < 0:
+                if value < 0:
                     raise ValueError(f"latency cannot be negative: {value}")
-                else:
-                    idx = bisect_right(bounds, value) - 1
-                    counts[idx if idx > 0 else 0] += 1
+                counts[index_for(value)] += 1
                 total += value
                 recorded += 1
         finally:

@@ -125,7 +125,7 @@ class GatewayServer:
 
         A worker that exits first, or a fleet not listening within
         ``timeout``, raises :class:`ConfigurationError` after the fleet is
-        stopped and the board unlinked.
+        stopped and the board unlinked; ``start()`` may then be retried.
         """
         if self._started:
             return
@@ -162,6 +162,7 @@ class GatewayServer:
                 self._files[shard] = conn.makefile("rwb")
         except BaseException:
             self.stop(timeout=0.0)
+            self._stopped = False        # a failed start may be retried
             raise
         finally:
             for reader in waiting:

@@ -129,7 +129,7 @@ class WorkerSpec:
     log_path: str
     board_name: Optional[str]
     policy: PolicySpec
-    ready: Optional[Connection] = None
+    ready: Connection
 
 
 class ShardEngine:
@@ -302,9 +302,8 @@ def worker_main(spec: WorkerSpec) -> None:
         listener.bind(spec.socket_path)
         listener.listen(100)
         selector.register(listener, selectors.EVENT_READ)
-        if spec.ready is not None:
-            spec.ready.send_bytes(b"")
-            spec.ready.close()
+        spec.ready.send_bytes(b"")
+        spec.ready.close()
         while True:
             for key, _ in selector.select():
                 if key.fileobj is listener:

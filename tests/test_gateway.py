@@ -527,27 +527,33 @@ class TestBoardDoorbell:
 
 
 @pytest.fixture
-def worker_spec():
+def runtime():
     # A short directory: a unix socket path must fit in ~100 bytes.
     runtime = tempfile.mkdtemp(prefix="repro-gw-")
-    yield WorkerSpec(shard=0, socket_path=os.path.join(runtime, "w.sock"),
-                     log_path=os.path.join(runtime, "w.log"),
-                     board_name=None, policy=tiny_spec())
+    yield runtime
     shutil.rmtree(runtime, ignore_errors=True)
 
 
 @pytest.fixture
-def spawn(worker_spec):
-    """Starts one real worker process (no board); the test's leftovers
-    are terminated."""
+def spawn(runtime):
+    """Starts one real worker process (no board) and returns once it
+    listens; the test's leftovers are terminated."""
+    ctx = multiprocessing.get_context("spawn")
     procs = []
 
     def start():
-        proc = multiprocessing.get_context("spawn").Process(
-            target=worker_main, args=(worker_spec,), daemon=True)
+        reader, ready = ctx.Pipe(duplex=False)
+        spec = WorkerSpec(shard=0, socket_path=os.path.join(runtime, "w.sock"),
+                          log_path=os.path.join(runtime, "w.log"),
+                          board_name=None, policy=tiny_spec(), ready=ready)
+        proc = ctx.Process(target=worker_main, args=(spec,), daemon=True)
         proc.start()
         procs.append(proc)
-        return worker_spec, proc
+        ready.close()
+        with reader:
+            assert reader.poll(30.0)
+            reader.recv_bytes()          # EOFError: the worker exited first
+        return spec, proc
 
     yield start
     for proc in procs:
@@ -556,20 +562,12 @@ def spawn(worker_spec):
         proc.join(timeout=5.0)
 
 
-def connect(spec, proc, timeout=30.0):
-    """A client connection to the worker, once its socket is up."""
-    clock = MonotonicClock()
-    deadline = clock.now() + timeout
-    while True:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.connect(spec.socket_path)
-            sock.settimeout(10.0)
-            return sock, sock.makefile("rb")
-        except OSError:
-            sock.close()
-            assert proc.is_alive() and clock.now() < deadline
-            clock.sleep(0.02)
+def connect(spec):
+    """A client connection to a worker :func:`spawn` started."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(spec.socket_path)
+    sock.settimeout(10.0)
+    return sock, sock.makefile("rb")
 
 
 def oracle_bits(*frames):
@@ -581,7 +579,7 @@ def oracle_bits(*frames):
 
 class TestWorkerLoop:
     def test_frame_split_byte_by_byte(self, spawn):
-        sock, replies = connect(*spawn())
+        sock, replies = connect(spawn()[0])
         clock = MonotonicClock()
         for byte in b"d 7 a,b,a\n":
             sock.sendall(bytes([byte]))
@@ -591,7 +589,7 @@ class TestWorkerLoop:
         sock.close()
 
     def test_three_frames_in_one_send_are_answered_in_order(self, spawn):
-        sock, replies = connect(*spawn())
+        sock, replies = connect(spawn()[0])
         sock.sendall(b"d 1 a\nd 2 b,a\nd 3 a,a,b\n")
         expected = oracle_bits(["a"], ["b", "a"], ["a", "a", "b"])
         assert [replies.readline() for _ in range(3)] == [
@@ -600,9 +598,9 @@ class TestWorkerLoop:
         sock.close()
 
     def test_two_connections_interleave(self, spawn):
-        spec, proc = spawn()
-        first, first_replies = connect(spec, proc)
-        second, second_replies = connect(spec, proc)
+        spec = spawn()[0]
+        first, first_replies = connect(spec)
+        second, second_replies = connect(spec)
         first.sendall(b"d 1 a,")
         second.sendall(b"d 9 b\n")
         early, late = oracle_bits(["b"], ["a", "b"])
@@ -613,17 +611,17 @@ class TestWorkerLoop:
         second.close()
 
     def test_unknown_verb_is_ignored(self, spawn):
-        sock, replies = connect(*spawn())
+        sock, replies = connect(spawn()[0])
         sock.sendall(b"q 1 a\n\nd 2 a\n")
         assert replies.readline() == b"r 2 %s\n" % oracle_bits(["a"])[0]
         sock.close()
 
     def test_x_with_another_client_connected(self, spawn):
         spec, proc = spawn()
-        bystander, bystander_replies = connect(spec, proc)
+        bystander, bystander_replies = connect(spec)
         bystander.sendall(b"d 1 a\n")
         assert bystander_replies.readline().startswith(b"r 1 ")
-        closer, closer_replies = connect(spec, proc)
+        closer, closer_replies = connect(spec)
         closer.sendall(b"x\n")
         assert closer_replies.readline() == b"X 1\n"
         proc.join(timeout=10.0)
@@ -634,13 +632,13 @@ class TestWorkerLoop:
         bystander.close()
         closer.close()
 
-    def test_stale_socket_file_is_replaced(self, spawn):
-        spec, proc = spawn()
+    def test_stale_socket_file_is_replaced(self, runtime, spawn):
         stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        stale.bind(spec.socket_path)
+        stale.bind(os.path.join(runtime, "w.sock"))
         stale.close()                 # leaves the socket file behind
-        assert os.path.exists(spec.socket_path)
-        sock, replies = connect(spec, proc)
+        spec = spawn()[0]
+        assert spec.socket_path == os.path.join(runtime, "w.sock")
+        sock, replies = connect(spec)
         sock.sendall(b"d 1 a\n")
         assert replies.readline() == b"r 1 %s\n" % oracle_bits(["a"])[0]
         sock.close()
@@ -662,10 +660,10 @@ MALFORMED_FRAMES = [
 class TestMalformedFrames:
     def test_bad_frame_closes_only_its_connection(self, spawn):
         spec, proc = spawn()
-        steady, steady_replies = connect(spec, proc)
+        steady, steady_replies = connect(spec)
         answered = 0
         for bad in MALFORMED_FRAMES:
-            sock, replies = connect(spec, proc)
+            sock, replies = connect(spec)
             # The good frame before the bad one is still answered.
             sock.sendall(b"d 1 a\n" + bad + b"d 2 b\n")
             assert replies.readline().startswith(b"r 1 ")
@@ -759,6 +757,17 @@ class TestGatewayServer:
         assert not [proc for proc in multiprocessing.active_children()
                     if proc.name.startswith("repro-gw-")]
         assert server._procs == [] and server._board is None
+
+    def test_start_after_a_failed_start_serves(self, tmp_path):
+        server = GatewayServer(tiny_spec(), shards=2,
+                               runtime_dir=str(tmp_path))
+        with pytest.raises(ConfigurationError, match="did not come up"):
+            server.start(timeout=0.0)
+        assert server._procs == [] and server._board is None
+        with server:
+            assert len(server.decide_many(["a", "b", "c"])) == 3
+            assert sum(stats.decisions
+                       for stats in server.collect_stats().values()) == 3
 
     def test_rejects_bad_shards(self):
         with pytest.raises(ConfigurationError):
