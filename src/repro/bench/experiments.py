@@ -21,11 +21,16 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core import (AcceptanceAllowancePolicy, AcceptFractionConfig,
-                    AcceptFractionPolicy, AdmissionPolicy, BouncerConfig,
-                    BouncerPolicy, HelpingTheUnderservedPolicy, HostContext,
-                    LatencySLO, MaxQueueLengthPolicy, MaxQueueWaitTimePolicy,
-                    SLORegistry)
+from ..core.baselines.accept_fraction import (AcceptFractionConfig,
+                                              AcceptFractionPolicy)
+from ..core.baselines.max_queue_length import MaxQueueLengthPolicy
+from ..core.baselines.max_queue_wait import MaxQueueWaitTimePolicy
+from ..core.bouncer import BouncerConfig, BouncerPolicy
+from ..core.context import HostContext
+from ..core.policy import AdmissionPolicy
+from ..core.slo import LatencySLO, SLORegistry
+from ..core.starvation import (AcceptanceAllowancePolicy,
+                               HelpingTheUnderservedPolicy)
 from ..liquid.cluster_sim import ClusterConfig
 from ..liquid.traces import linkedin_cost_table
 from ..sim import QueryTypeSpec, WorkloadMix

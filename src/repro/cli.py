@@ -58,8 +58,8 @@ def _sim_policy(name: str) -> Any:
     """The policy factory ``--policy name`` runs on the single host."""
     from .bench import (make_accept_fraction, make_bouncer, make_bouncer_aa,
                         make_bouncer_hu, make_maxql, make_maxqwt)
-    from .core import (GatekeeperConfig, GatekeeperPolicy, QCopConfig,
-                       QCopPolicy)
+    from .core.related.gatekeeper import GatekeeperConfig, GatekeeperPolicy
+    from .core.related.qcop import QCopConfig, QCopPolicy
 
     if name == "gatekeeper":    # related-work comparators (§6 / §7)
         return lambda ctx: GatekeeperPolicy(

@@ -26,6 +26,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import socket
 import tempfile
 import threading
@@ -75,8 +76,8 @@ class GatewayServer:
     layout:
         Histogram bucket layout the board sizes its slots for.
     runtime_dir:
-        Directory for sockets and decision logs; a private temp dir when
-        omitted.
+        Directory for sockets and decision logs.  When omitted, a private
+        temp dir that :meth:`stop` removes, logs and all.
     registry:
         Optional metrics registry; :meth:`collect_stats` lands per-shard
         gauges in it (see :mod:`repro.telemetry.shards`).
@@ -114,8 +115,9 @@ class GatewayServer:
         self._broken: Set[int] = set()
         self._started = False
         self._stopped = False
-        self._owns_dir = False
-        #: shard -> decision-log path, readable after :meth:`stop`.
+        self._owned_dir: Optional[str] = None
+        #: shard -> decision-log path; a log outlives :meth:`stop` only in
+        #: a caller-supplied ``runtime_dir``.
         self.decision_log_paths: Dict[int, str] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -130,8 +132,8 @@ class GatewayServer:
         if self._started:
             return
         if self._runtime_dir is None:
-            self._runtime_dir = tempfile.mkdtemp(prefix="repro-gw-")
-            self._owns_dir = True
+            self._runtime_dir = self._owned_dir = tempfile.mkdtemp(
+                prefix="repro-gw-")
         waiting: Dict[Connection, int] = {}
         try:
             self._board = SnapshotBoard.create(slots=self._board_slots,
@@ -318,7 +320,8 @@ class GatewayServer:
 
     # -- shutdown --------------------------------------------------------
     def stop(self, timeout: float = 10.0) -> None:
-        """Flush logs, stop the fleet, destroy the board (idempotent).
+        """Flush logs, stop the fleet, destroy the board and a runtime
+        directory of its own making (idempotent).
 
         Worker teardown mirrors ``AdmissionServer.stop``: ask nicely
         (``x`` — flush the decision log and exit), wait out ``timeout``,
@@ -363,6 +366,9 @@ class GatewayServer:
         if self._board is not None:
             self._board.unlink()
             self._board = None
+        if self._owned_dir is not None:
+            shutil.rmtree(self._owned_dir, ignore_errors=True)
+            self._runtime_dir = self._owned_dir = None
         self._started = False
 
     def __enter__(self) -> "GatewayServer":

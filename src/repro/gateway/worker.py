@@ -45,8 +45,11 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..core import (BouncerConfig, BouncerPolicy, HostContext, LatencySLO,
-                    ManualClock, QueueView, SLORegistry)
+from ..core.bouncer import BouncerConfig, BouncerPolicy
+from ..core.clock import ManualClock
+from ..core.context import HostContext
+from ..core.policy import QueueView
+from ..core.slo import LatencySLO, SLORegistry
 from ..core.types import Query
 from .snapshot import SnapshotBoard
 

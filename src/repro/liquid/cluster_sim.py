@@ -43,13 +43,13 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
     from ..faults import FaultInjector
     from ..telemetry.hub import Telemetry
 
-from .._stats import mean, percentiles
-from ..core.baselines import AcceptFractionConfig, AcceptFractionPolicy
+from ..core.baselines.accept_fraction import (AcceptFractionConfig,
+                                              AcceptFractionPolicy)
 from ..core.context import HostContext
 from ..core.policy import AdmissionPolicy, QueueView
 from ..core.types import AdmissionResult, Query, RejectReason
 from ..exceptions import ConfigurationError
-from ..sim.report import REPORT_PERCENTILES, TypeStats
+from ..sim.report import SampleStore, TypeStats
 from ..sim.simulator import Simulator
 
 PolicyFactory = Callable[[HostContext], AdmissionPolicy]
@@ -702,7 +702,7 @@ class BrokerHost(_HostCore):
             self._dispatch()
 
 
-class ClusterMetrics:
+class ClusterMetrics(SampleStore):
     """Cluster-wide per-type outcome samples (measured at the brokers).
 
     Every :meth:`reset` opens a new measurement window; brokers stamp each
@@ -711,12 +711,12 @@ class ClusterMetrics:
     completes or fails after the window opened is not measured.
     """
 
+    measures_wait = False
+
     def __init__(self) -> None:
-        self.responses: Dict[str, List[float]] = {}
-        self.processing: Dict[str, List[float]] = {}
+        super().__init__()
         self.broker_rejections: Dict[str, int] = {}
         self.shard_rejections: Dict[str, int] = {}
-        self.window = 0
         self.measure_start = 0.0
         #: Resilience counters (sub-query retries, hedges, and queries
         #: completed with partial fan-out results).
@@ -730,11 +730,9 @@ class ClusterMetrics:
             return
         if degraded:
             self.degraded += 1
-        qtype = query.qtype
-        self.responses.setdefault(qtype, []).append(
-            query.response_time or 0.0)
-        self.processing.setdefault(qtype, []).append(
-            query.processing_time or 0.0)
+        samples = self._samples(query.qtype)
+        samples.responses.append(query.response_time or 0.0)
+        samples.procs.append(query.processing_time or 0.0)
 
     def record_rejection(self, query: Query, at_broker: bool) -> None:
         """A query was refused by its broker or failed downstream."""
@@ -743,65 +741,29 @@ class ClusterMetrics:
         bucket = (self.broker_rejections if at_broker
                   else self.shard_rejections)
         bucket[query.qtype] = bucket.get(query.qtype, 0) + 1
+        self._samples(query.qtype).rejected += 1
 
     def reset(self, now: float = 0.0) -> None:
         """Open the next measurement window at ``now`` (end of warm-up)."""
-        self.responses.clear()
-        self.processing.clear()
+        self._next_window()
         self.broker_rejections.clear()
         self.shard_rejections.clear()
-        self.window += 1
         self.measure_start = now
         self.retries = 0
         self.hedges = 0
         self.degraded = 0
 
+    def measured_types(self) -> List[str]:
+        """Sorted by name, not by first outcome: the cluster's reports
+        list and pool types (the ALL row's means sum) in this order."""
+        return sorted(self._per_type)
+
     def attainment(self, threshold: float) -> Dict[str, float]:
-        """Fraction of completed responses at or under ``threshold``,
-        per type plus pooled under ``"ALL"`` (empty types report 0)."""
-        out: Dict[str, float] = {}
-        total = 0
-        within = 0
-        for qtype, responses in sorted(self.responses.items()):
-            hits = sum(1 for r in responses if r <= threshold)
-            out[qtype] = hits / len(responses) if responses else 0.0
-            total += len(responses)
-            within += hits
-        out["ALL"] = within / total if total else 0.0
-        return out
-
-    def _measured_types(self) -> List[str]:
-        """Types with any outcome, sorted: set order follows the process's
-        string-hash seed, and the pooled means sum in this order."""
-        return sorted(set(self.responses) | set(self.broker_rejections)
-                      | set(self.shard_rejections))
-
-    def build_type_stats(self) -> Dict[str, TypeStats]:
-        return {qtype: self._pooled_stats(qtype, [qtype])
-                for qtype in self._measured_types()}
-
-    def build_overall_stats(self) -> TypeStats:
-        return self._pooled_stats("ALL", self._measured_types())
-
-    def _pooled_stats(self, name: str, qtypes: List[str]) -> TypeStats:
-        """One report row over the samples of ``qtypes``, pooled in order."""
-        responses: List[float] = []
-        procs: List[float] = []
-        rejected = 0
-        for qtype in qtypes:
-            responses.extend(self.responses.get(qtype, []))
-            procs.extend(self.processing.get(qtype, []))
-            rejected += (self.broker_rejections.get(qtype, 0)
-                         + self.shard_rejections.get(qtype, 0))
-        return TypeStats(
-            qtype=name,
-            completed=len(responses),
-            rejected=rejected,
-            response=percentiles(responses, REPORT_PERCENTILES),
-            processing=percentiles(procs, REPORT_PERCENTILES),
-            response_mean=mean(responses),
-            processing_mean=mean(procs),
-        )
+        """As the single host's, but a type with no completion (rejected
+        or failed only) has no entry."""
+        return self._attainment(threshold, [
+            qtype for qtype in self.measured_types()
+            if self._per_type[qtype].responses])
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 The paper compares policies "on three dimensions: SLO violations, rejection
 ratio, and system utilization" (§5.3).  :class:`ServerMetrics` gathers the
-raw samples during a run; :class:`SimulationReport` condenses them into the
+raw samples during a run into a :class:`SampleStore`, the compact store
+the cluster model measures into too; :class:`SimulationReport` holds the
 per-type and overall statistics the tables and figures need.
 
 Report percentiles are *exact* order statistics over the recorded samples
@@ -12,10 +13,12 @@ reproduction's figures are not polluted by estimator error.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._stats import mean, percentiles
+from .._stats import percentile
 from ..core.types import AdmissionResult, Query
 
 #: Percentiles every report computes for response/processing/wait times.
@@ -23,21 +26,123 @@ REPORT_PERCENTILES: Tuple[float, ...] = (50.0, 90.0, 95.0, 99.0)
 
 
 class _TypeSamples:
-    """Raw per-type samples collected during the measurement window."""
+    """Raw per-type samples collected during the measurement window, 8 B
+    per value in ``array("d")`` (no float object per sample)."""
 
     __slots__ = ("waits", "procs", "responses", "rejected", "expired",
                  "errors")
 
     def __init__(self) -> None:
-        self.waits: List[float] = []
-        self.procs: List[float] = []
-        self.responses: List[float] = []
+        self.waits = array("d")
+        self.procs = array("d")
+        self.responses = array("d")
         self.rejected = 0
         self.expired = 0
         self.errors = 0
 
 
-class ServerMetrics:
+def _summary(series: Sequence[array]) -> Tuple[Dict[float, float], float]:
+    """Report percentiles and mean of ``series`` chained in order.
+
+    One list of the chained values is alive at a time, summed before it
+    is sorted, so the result equals :func:`repro._stats.percentiles` and
+    :func:`repro._stats.mean` over the pooled samples bit for bit: the
+    same values, summed in the same order.
+    """
+    values = list(chain.from_iterable(series))
+    total = sum(values)
+    values.sort()
+    return ({p: percentile(values, p) for p in REPORT_PERCENTILES},
+            total / len(values) if values else 0.0)
+
+
+class SampleStore:
+    """Per-type samples of one measurement window, and the report rows
+    built from them; both simulated hosts (:class:`ServerMetrics` and the
+    cluster model's ``ClusterMetrics``) measure into one.
+
+    Outcomes count only if their query carries the open ``window`` stamp.
+    Rows come in :meth:`measured_types` order, which is also the order the
+    ALL row's means sum in.
+    """
+
+    #: Whether completions carry a queue wait; a store without one (the
+    #: cluster model measures at its brokers) reports an empty ``wait``.
+    measures_wait = True
+
+    def __init__(self) -> None:
+        self._per_type: Dict[str, _TypeSamples] = {}
+        self.window = 0
+
+    def _samples(self, qtype: str) -> _TypeSamples:
+        samples = self._per_type.get(qtype)
+        if samples is None:
+            samples = self._per_type[qtype] = _TypeSamples()
+        return samples
+
+    def _next_window(self) -> None:
+        """Drop the samples and open the next measurement window."""
+        self._per_type.clear()
+        self.window += 1
+
+    def measured_types(self) -> List[str]:
+        """Types with any outcome, in the order their first one came."""
+        return list(self._per_type)
+
+    def attainment(self, threshold: float) -> Dict[str, float]:
+        """Fraction of completed responses within ``threshold`` seconds.
+
+        Keyed per type plus ``"ALL"``; a type with no completions scores
+        0.0.
+        """
+        return self._attainment(threshold, self.measured_types())
+
+    def _attainment(self, threshold: float,
+                    qtypes: List[str]) -> Dict[str, float]:
+        result: Dict[str, float] = {}
+        total = 0
+        within_total = 0
+        for qtype in qtypes:
+            responses = self._per_type[qtype].responses
+            within = sum(1 for r in responses if r <= threshold)
+            count = len(responses)
+            result[qtype] = within / count if count else 0.0
+            total += count
+            within_total += within
+        result["ALL"] = within_total / total if total else 0.0
+        return result
+
+    def build_type_stats(self) -> Dict[str, "TypeStats"]:
+        """Condense the per-type samples into report statistics."""
+        return {qtype: self._row(qtype, [self._per_type[qtype]])
+                for qtype in self.measured_types()}
+
+    def build_overall_stats(self) -> "TypeStats":
+        """The ALL row over every type's samples."""
+        return self._row("ALL", [self._per_type[qtype]
+                                 for qtype in self.measured_types()])
+
+    def _row(self, qtype: str, members: List[_TypeSamples]) -> "TypeStats":
+        response, response_mean = _summary([m.responses for m in members])
+        processing, processing_mean = _summary([m.procs for m in members])
+        wait, wait_mean = (_summary([m.waits for m in members])
+                           if self.measures_wait else ({}, 0.0))
+        return TypeStats(
+            qtype=qtype,
+            completed=sum(len(m.responses) for m in members),
+            rejected=sum(m.rejected for m in members),
+            expired=sum(m.expired for m in members),
+            errors=sum(m.errors for m in members),
+            response=response,
+            processing=processing,
+            wait=wait,
+            response_mean=response_mean,
+            processing_mean=processing_mean,
+            wait_mean=wait_mean,
+        )
+
+
+class ServerMetrics(SampleStore):
     """Accumulates completions and rejections for one host.
 
     Every :meth:`reset` opens a new measurement window.  Arrivals are
@@ -48,8 +153,7 @@ class ServerMetrics:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._per_type: Dict[str, _TypeSamples] = {}
-        self.window = 0
+        super().__init__()
         self.start_time = start_time
         self.last_arrival = start_time
         self.busy_time = 0.0
@@ -102,13 +206,6 @@ class ServerMetrics:
         query.window = self.window
         self.last_arrival = now
 
-    def _samples(self, qtype: str) -> _TypeSamples:
-        samples = self._per_type.get(qtype)
-        if samples is None:
-            samples = _TypeSamples()
-            self._per_type[qtype] = samples
-        return samples
-
     def record_completion(self, query: Query) -> None:
         """Account a finished query (Point 3 outcome)."""
         # All processing done inside the window counts toward utilization,
@@ -131,8 +228,7 @@ class ServerMetrics:
 
     def reset(self, now: float) -> None:
         """Restart the measurement window at ``now`` (end of warm-up)."""
-        self._per_type.clear()
-        self.window += 1
+        self._next_window()
         self.start_time = now
         self.last_arrival = now
         self.busy_time = 0.0
@@ -157,73 +253,6 @@ class ServerMetrics:
         if span <= 0 or parallelism <= 0:
             return 0.0
         return min(1.0, self.busy_time / (span * parallelism))
-
-    def attainment(self, threshold: float) -> Dict[str, float]:
-        """Fraction of completed responses within ``threshold`` seconds.
-
-        Keyed per type plus ``"ALL"``; a type with no completions scores
-        0.0 (matches the cluster model's accounting).
-        """
-        result: Dict[str, float] = {}
-        total = 0
-        within_total = 0
-        for qtype, samples in self._per_type.items():
-            within = sum(1 for r in samples.responses if r <= threshold)
-            count = len(samples.responses)
-            result[qtype] = within / count if count else 0.0
-            total += count
-            within_total += within
-        result["ALL"] = within_total / total if total else 0.0
-        return result
-
-    def build_type_stats(self) -> Dict[str, "TypeStats"]:
-        """Condense the per-type samples into report statistics."""
-        stats = {}
-        for qtype, samples in self._per_type.items():
-            completed = len(samples.responses)
-            stats[qtype] = TypeStats(
-                qtype=qtype,
-                completed=completed,
-                rejected=samples.rejected,
-                expired=samples.expired,
-                errors=samples.errors,
-                response=percentiles(samples.responses, REPORT_PERCENTILES),
-                processing=percentiles(samples.procs, REPORT_PERCENTILES),
-                wait=percentiles(samples.waits, REPORT_PERCENTILES),
-                response_mean=mean(samples.responses),
-                processing_mean=mean(samples.procs),
-                wait_mean=mean(samples.waits),
-            )
-        return stats
-
-    def build_overall_stats(self) -> "TypeStats":
-        """Pool every type's samples into the ALL row."""
-        responses: List[float] = []
-        procs: List[float] = []
-        waits: List[float] = []
-        rejected = 0
-        expired = 0
-        errors = 0
-        for samples in self._per_type.values():
-            responses.extend(samples.responses)
-            procs.extend(samples.procs)
-            waits.extend(samples.waits)
-            rejected += samples.rejected
-            expired += samples.expired
-            errors += samples.errors
-        return TypeStats(
-            qtype="ALL",
-            completed=len(responses),
-            rejected=rejected,
-            expired=expired,
-            errors=errors,
-            response=percentiles(responses, REPORT_PERCENTILES),
-            processing=percentiles(procs, REPORT_PERCENTILES),
-            wait=percentiles(waits, REPORT_PERCENTILES),
-            response_mean=mean(responses),
-            processing_mean=mean(procs),
-            wait_mean=mean(waits),
-        )
 
 
 @dataclass

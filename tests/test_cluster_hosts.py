@@ -118,7 +118,7 @@ class TestBrokerHost:
         broker.offer(Query(qtype="one_round"))
         sim.run()
         assert metrics.broker_rejections.get("one_round") == 1
-        assert not metrics.responses
+        assert metrics.build_overall_stats().completed == 0
 
     def test_shard_rejection_fails_whole_query(self):
         config = two_type_config(queue_cap=1, shard_processes=1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import (AlwaysAcceptPolicy, AlwaysRejectPolicy,
                         BouncerConfig, BouncerPolicy, LatencySLO,
                         MaxQueueLengthPolicy, SLORegistry)
+from repro.core.types import Query
 from repro.exceptions import ConfigurationError
 from repro.liquid import (FANOUT_ALL, FANOUT_ONE, ClusterConfig,
                           QueryTypeCost, linkedin_cost_table,
@@ -142,12 +143,17 @@ class TestClusterExecution:
 
         metrics = ClusterMetrics()
         names = [f"QT{i}" for i in range(20)]
-        for i, name in enumerate(names):
-            metrics.responses[name] = [0.1 / (i + 3), 0.7 / (i + 7)]
-            metrics.processing[name] = [0.1 / (i + 3)]
+        responses = {name: [0.1 / (i + 3), 0.7 / (i + 7)]
+                     for i, name in enumerate(names)}
+        for name in names:
+            for response in responses[name]:
+                query = Query(qtype=name)
+                query.enqueued_at = query.dequeued_at = 0.0
+                query.completed_at = response
+                metrics.record_completion(query)
         assert list(metrics.build_type_stats()) == sorted(names)
         in_sorted_order = [value for name in sorted(names)
-                           for value in metrics.responses[name]]
+                           for value in responses[name]]
         # repro: allow=no-simtime-float-eq (bit-identity: same summation)
         assert (metrics.build_overall_stats().response_mean
                 == mean(in_sorted_order))

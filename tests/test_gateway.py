@@ -769,6 +769,25 @@ class TestGatewayServer:
             assert sum(stats.decisions
                        for stats in server.collect_stats().values()) == 3
 
+    def test_a_runtime_dir_of_its_own_is_removed(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def made():
+            return sorted(tmp_path.glob("repro-gw-*"))
+
+        with GatewayServer(tiny_spec(), shards=2) as server:
+            assert len(server.decide_many(["a", "b"])) == 2
+            assert len(made()) == 1
+        assert made() == []
+        server = GatewayServer(tiny_spec(), shards=2)
+        with pytest.raises(ConfigurationError, match="did not come up"):
+            server.start(timeout=0.0)
+        assert made() == []
+        with server:                     # a retried start makes a new one
+            assert len(made()) == 1
+        assert made() == []
+
     def test_rejects_bad_shards(self):
         with pytest.raises(ConfigurationError):
             GatewayServer(tiny_spec(), shards=0)

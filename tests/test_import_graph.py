@@ -1,10 +1,10 @@
 """What each kind of process imports.
 
-``repro``, ``repro.telemetry``, ``repro.liquid`` and ``repro.gateway``
-resolve their exports on first use, so a process loads only the layers it
-runs: a gateway worker the kernel and the board, the CLI's parser no
-simulator.  Each import check runs in a fresh interpreter and counts only
-what the import itself added to ``sys.modules``.
+``repro``, ``repro.core``, ``repro.telemetry``, ``repro.liquid`` and
+``repro.gateway`` resolve their exports on first use, so a process loads
+only the layers it runs: a gateway worker the kernel and the board, the
+CLI's parser no simulator.  Each import check runs in a fresh interpreter
+and counts only what the import itself added to ``sys.modules``.
 """
 
 import json
@@ -21,7 +21,7 @@ import repro
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
-LAZY_PACKAGES = ("repro", "repro.telemetry", "repro.liquid",
+LAZY_PACKAGES = ("repro", "repro.core", "repro.telemetry", "repro.liquid",
                  "repro.gateway")
 
 #: What the threaded runtime and the HTTP exposition pull in.
@@ -62,6 +62,11 @@ def test_gateway_worker_loads_the_kernel_and_the_board_only():
         "repro.runtime", "repro.telemetry", "repro.liquid", "repro.sim",
         "repro.faults", "repro.gateway.server", "repro.gateway.loadgen",
         "concurrent.futures") + HEAVY_STDLIB) == []
+    # One Bouncer runs there: none of the other policies, nor the SLO
+    # advisor and the exact statistics it reads.
+    assert under(loaded, ("repro.core.advisor", "repro.core.related",
+                          "repro.core.baselines", "repro._stats")) == []
+    assert len(under(loaded, ("repro",))) == 15      # 27 with core eager
 
 
 def test_referee_imports_skip_the_runtime_and_the_exposition():
