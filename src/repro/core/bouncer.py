@@ -31,6 +31,7 @@ are retained rather than replaced by empty ones.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
@@ -198,26 +199,70 @@ class _Eq2Term:
         self.epoch = epoch
 
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+#: The rank of ``+inf`` among the non-NaN floats, ordered by bit pattern.
+_INF_RANK = 0x7FF0000000000000
+
+
+def _accept_limit(target: float, pt: float) -> float:
+    """The largest float ``w`` with ``not (w + pt > target)``.
+
+    Adding a fixed ``pt`` is monotone in ``w``, so the waits that pass are
+    the ones up to this limit, plus NaN, which passes any comparison:
+    ``not (w > limit)`` is the percentile's verdict for every float ``w``.
+    ``-inf`` always passes.  The search ranks floats by bit pattern
+    (rank ``-r`` is minus rank ``r``), gallops from ``target - pt``, an
+    ulp or two off the limit, then bisects: at most ~128 steps, however
+    far apart the magnitudes are.
+    """
+    def at(rank: int) -> float:
+        x = _DOUBLE.unpack(_INT64.pack(abs(rank)))[0]
+        return -x if rank < 0 else x
+
+    if not math.inf + pt > target:
+        return math.inf
+    guess = target - pt                  # not NaN once +inf fails
+    probe = _INT64.unpack(_DOUBLE.pack(abs(guess)))[0]
+    probe, step = (-probe if guess < 0 else probe), 1
+    lo, hi = -_INF_RANK, _INF_RANK       # passes at lo, fails at hi
+    while hi - lo > 1:
+        if not at(probe) + pt > target:
+            lo, probe = probe, probe + step
+        else:
+            hi, probe = probe, probe - step
+        step *= 2
+        if not lo < probe < hi:          # overshot: bisect from now on
+            probe = (lo + hi) // 2
+    return at(lo)
+
+
 class _TypeEntry:
     """One type's Eqs. 3-4 inputs: its SLO, whether the Appendix A
     cold-start fallback applies, and the percentile values (``None`` when
-    nothing is measured anywhere yet).
+    nothing is measured anywhere yet), also as (percentile, value) pairs.
 
-    ``proto_*`` memoizes the verdict against the wait estimate it was
-    computed from; a queue change moves the wait, which invalidates the
-    memo by value.  The estimates are not memoized: every result owns a
-    dict, and building one costs what copying one would.
+    ``limit`` folds Algorithm 1 into one number, the min over the
+    constrained percentiles of :func:`_accept_limit` (the max in mode
+    ``all``): ``not (wait > limit)`` is the per-percentile verdict bit for
+    bit.  ``until`` and ``version`` bound its reuse (``_entries``).
     """
 
-    __slots__ = ("slo", "cold", "values", "proto_wait", "proto_accept")
+    __slots__ = ("slo", "cold", "values", "pairs", "limit", "until",
+                 "version")
 
     def __init__(self, slo: LatencySLO, cold: bool,
-                 values: Optional[List[float]]) -> None:
+                 values: Optional[List[float]], mode_any: bool) -> None:
         self.slo = slo
         self.cold = cold
         self.values = values
-        self.proto_wait: Optional[float] = None
-        self.proto_accept = False
+        # ``slo.percentiles`` is ascending, matching ``values``.
+        self.pairs = (None if values is None
+                      else tuple(zip(slo.percentiles, values)))
+        limits = [_accept_limit(target, pt) for (_, target), pt in zip(
+            slo.items(), values or [0.0] * len(slo.percentiles))]
+        self.limit = min(limits) if mode_any else max(limits)
+        self.until = -math.inf
+        self.version = -1
 
 
 class FastPathStats:
@@ -274,11 +319,16 @@ class BouncerPolicy(AdmissionPolicy):
         # trigger, or a publish boundary — exact because it is the very
         # value the dot product produced, merely reused.
         self._wait_cache: Optional[float] = None
-        # Decision entries, one per type, kept warm across decisions.
-        # Validity is proven by object identity on every use (same SLO
-        # object, same memoized percentile-values list), so no
-        # invalidation hook is needed.
+        # Decision entries, one per type, reused untouched while the
+        # clock is before ``entry.until``, the first publish boundary of
+        # the backends it was read from (re-reading them sooner returns
+        # the same views), and the SLO registry is at ``entry.version``.
+        # invalidate_estimates() drops them.
         self._entries: Dict[str, _TypeEntry] = {}
+        # Backends seen holding a view, which with retain_min_samples >= 1
+        # is never replaced by an empty one: no bootstrap publish to come.
+        self._settled: Set[str] = set()
+        self._views_persist = config.retain_min_samples > 0
         ctx.queue.subscribe(self._on_queue_event)
 
     # -- construction helpers -------------------------------------------
@@ -423,18 +473,14 @@ class BouncerPolicy(AdmissionPolicy):
         """
         wait_mean = self.estimate_wait_mean()
         entry = self._entry(qtype)
-        estimate = BouncerEstimate(qtype=qtype, wait_mean=wait_mean,
-                                   slo=entry.slo, cold_start=entry.cold)
-        if entry.values is None:
+        if entry.pairs is None:
             # Nothing measured anywhere yet: estimates are just the queue
             # wait, which errs toward acceptance (deliberate leniency).
-            for p in entry.slo.percentiles:
-                estimate.response[p] = wait_mean
-            return estimate
-        # ``slo.percentiles`` is already ascending, matching ``values``.
-        for p, value in zip(entry.slo.percentiles, entry.values):
-            estimate.response[p] = wait_mean + value
-        return estimate
+            response = dict.fromkeys(entry.slo.percentiles, wait_mean)
+        else:
+            response = {p: wait_mean + value for p, value in entry.pairs}
+        return BouncerEstimate(qtype, wait_mean, response, entry.slo,
+                               entry.cold)
 
     def _entry(self, qtype: str) -> _TypeEntry:
         """The arriving type's Eqs. 3-4 inputs, Appendix A fallback applied.
@@ -447,18 +493,17 @@ class BouncerPolicy(AdmissionPolicy):
         sum is marked dirty so the *next* estimate refreshes it.  (Time-
         and bootstrap-driven publishes are caught before this point by
         ``_next_due`` and the bootstrap watch; this is a backstop for
-        out-of-band mutation.)  The entry is kept warm per type while its
-        inputs are the very same objects, so its verdict memo carries
-        across decisions.
+        out-of-band mutation.)  The entry object is kept while its inputs
+        are the very same objects; its horizon is renewed either way.
         """
-        hist = self._hists.get(qtype)
-        if hist is None:
-            hist = self._hists[qtype] = self._new_histogram()
+        hist = self._histogram_for(qtype)
         own = hist.snapshot()
+        until = hist.next_publish_due()
         cold = own.count < self._min_trusted
         if cold:
             snap = self._general.snapshot()
             slo = self._slos.default
+            until = min(until, self._general.next_publish_due())
         else:
             snap = own
             slo = self._slos.for_type(qtype)
@@ -474,14 +519,7 @@ class BouncerPolicy(AdmissionPolicy):
             if (cold and self._general_deps
                     and snap.epoch != self._general_epoch_used):
                 self._sum_dirty = True
-            key = _GENERAL_KEY if cold else qtype
-            stats = self._stat_cache.get(key)
-            if stats is None or stats.epoch != snap.epoch:
-                stats = self._stat_cache[key] = _SnapshotStats(
-                    snap.epoch, snap.mean())
-                self.fast_path_stats.cache_misses += 1
-            else:
-                self.fast_path_stats.cache_hits += 1
+            stats = self._stat_entry(_GENERAL_KEY if cold else qtype, snap)
             percentiles = slo.percentiles
             values = stats.percentiles.get(percentiles)
             if values is None:
@@ -490,7 +528,14 @@ class BouncerPolicy(AdmissionPolicy):
         entry = self._entries.get(qtype)
         if (entry is None or entry.slo is not slo
                 or entry.values is not values or entry.cold != cold):
-            entry = self._entries[qtype] = _TypeEntry(slo, cold, values)
+            entry = self._entries[qtype] = _TypeEntry(
+                slo, cold, values, self._mode_any)
+        # An empty view may bootstrap-publish at any touch, and a sliding
+        # window shows each record at once: such an entry holds for one use.
+        entry.until = (-math.inf if (hist.records_visible_immediately
+                                     or own.is_empty or snap.is_empty)
+                       else until)
+        entry.version = self._slos.version
         return entry
 
     # -- incremental Eq. 2 state -------------------------------------------
@@ -690,22 +735,42 @@ class BouncerPolicy(AdmissionPolicy):
         decision recomputes from the live snapshots.
         """
         self._stat_cache.clear()
+        self._entries.clear()
+        self._settled.clear()
         self._sum_dirty = True
         self._wait_cache = None
 
     # -- the decision (Algorithm 1) ----------------------------------------
     def _decide(self, query: Query) -> AdmissionResult:
-        """Algorithm 1: Eq. 2's wait, the arriving type's entry, the
-        verdict."""
+        """Algorithm 1: Eq. 2's wait, the arriving type's entry (a reuse
+        counts the cache hit re-reading it would have), the verdict."""
         wait_mean = self.estimate_wait_mean()
-        return self._entry_result(self._entry(query.qtype), wait_mean)
+        qtype = query.qtype
+        entry = self._entries.get(qtype)
+        if (entry is None or not self._ctx.clock.now() < entry.until
+                or entry.version != self._slos.version):
+            entry = self._entry(qtype)
+        else:
+            self.fast_path_stats.cache_hits += 1
+        pairs = entry.pairs
+        if pairs is None:    # nothing measured: as in estimate()
+            response = dict.fromkeys(entry.slo.percentiles, wait_mean)
+        else:
+            response = {}
+            for percentile, value in pairs:
+                response[percentile] = wait_mean + value
+        if wait_mean > entry.limit:
+            return AdmissionResult(Decision.REJECT,
+                                   RejectReason.SLO_ESTIMATE, response)
+        return AdmissionResult(Decision.ACCEPT, None, response)
 
     def decide_types(self, qtypes: Sequence[str], out: bytearray) -> None:
-        """Algorithm 1 by type name: one Eq. 2 wait, each distinct type's
-        entry resolved once, one bit per query from (entry, wait), and
-        :attr:`stats` tallied for exactly the bits appended, even when
-        resolving a type raises.  Bit-identical to deciding the queries
-        one by one: nothing between them moves the clock or the queue."""
+        """Algorithm 1 by type name: one Eq. 2 wait, then per query its
+        type's entry, reused under :meth:`_decide`'s rule, and one bit
+        from ``wait > entry.limit``; :attr:`stats` is tallied for exactly
+        the bits appended, even when resolving a type raises.
+        Bit-identical to deciding the queries one by one: nothing between
+        them moves the clock or the queue."""
         if not qtypes:
             return
         stats = self.fast_path_stats
@@ -713,59 +778,22 @@ class BouncerPolicy(AdmissionPolicy):
         stats.batch_queries += len(qtypes)
         start = len(out)
         append = out.append
-        entries: Dict[str, _TypeEntry] = {}
+        entries = self._entries
         try:
             wait_mean = self.estimate_wait_mean()
+            now = self._ctx.clock.now()
+            version = self._slos.version
             for qtype in qtypes:
                 entry = entries.get(qtype)
-                if entry is None:
-                    entry = entries[qtype] = self._entry(qtype)
-                if entry.proto_wait != wait_mean:
-                    self._entry_result(entry, wait_mean)
-                append(0x31 if entry.proto_accept else 0x30)
+                if (entry is None or not now < entry.until
+                        or entry.version != version):
+                    entry = self._entry(qtype)
+                else:
+                    stats.cache_hits += 1
+                append(0x30 if wait_mean > entry.limit else 0x31)
         finally:
             self.stats.record_bits(qtypes, out[start:],
                                    RejectReason.SLO_ESTIMATE)
-
-    def _entry_result(self, entry: _TypeEntry,
-                      wait_mean: float) -> AdmissionResult:
-        """Algorithm 1 for one query given its type's entry.
-
-        The response estimate is ``wait + pt_p`` per constrained
-        percentile, in exactly the scalar arithmetic (no slack
-        transformation — ``wait > target - pt_p`` is not float-equivalent).
-        The estimates dict is built once and handed to the result, which
-        owns it; a memoized verdict is reused only when the wait estimate
-        is bit-equal to the one it was computed from.
-        """
-        slo = entry.slo
-        response: Dict[float, float] = {}
-        if entry.values is None:
-            for p in slo.percentiles:
-                response[p] = wait_mean
-        else:
-            # ``slo.percentiles`` is ascending, matching ``values``.
-            for p, value in zip(slo.percentiles, entry.values):
-                response[p] = wait_mean + value
-        if entry.proto_wait == wait_mean:
-            accept = entry.proto_accept
-        else:
-            exceeded = 0
-            constrained = 0
-            for percentile, target in slo.items():
-                constrained += 1
-                if response.get(percentile, 0.0) > target:
-                    exceeded += 1
-            if self._mode_any:
-                accept = exceeded == 0
-            else:
-                accept = constrained == 0 or exceeded != constrained
-            entry.proto_wait = wait_mean
-            entry.proto_accept = accept
-        if accept:
-            return AdmissionResult(Decision.ACCEPT, None, response)
-        return AdmissionResult(Decision.REJECT, RejectReason.SLO_ESTIMATE,
-                               response)
 
     # -- framework hooks ----------------------------------------------------
     def on_completed(self, query: Query, wait_time: float,
@@ -778,21 +806,36 @@ class BouncerPolicy(AdmissionPolicy):
         make records visible immediately (so any dependent Eq. 2 term goes
         stale now), while dual-buffer backends only change at a publish —
         the one sample-driven publish (cold-start bootstrap) is tracked via
-        the bootstrap watch.
+        the bootstrap watch, polled only until the backend holds a view
+        it cannot lose (``_settled``).
         """
-        hist = self._histogram_for(query.qtype)
+        qtype = query.qtype
+        hist = self._hists.get(qtype)
+        if hist is None:
+            hist = self._hists[qtype] = self._new_histogram()
         # Both histograms share one layout: one bucket search serves both.
         index = self._index_for(processing_time)
         hist.record_at(index, processing_time)
-        self._general.record_at(index, processing_time)
+        general = self._general
+        general.record_at(index, processing_time)
         if hist.records_visible_immediately:
-            if query.qtype in self._terms or self._general_deps:
+            if qtype in self._terms or self._general_deps:
                 self._sum_dirty = True
-        else:
-            # Watch only backends a cached Eq. 2 term depends on; any other
-            # backend gets a fresh snapshot (and a new watch, if still
-            # pending) from _term when its type is enqueued.
-            if hist.bootstrap_pending and query.qtype in self._terms:
-                self._watch.add(query.qtype)
-            if self._general.bootstrap_pending and self._general_deps:
-                self._watch.add(_GENERAL_KEY)
+            return
+        # Watch only backends a cached Eq. 2 term depends on; any other
+        # backend gets a fresh snapshot (and a new watch, if still
+        # pending) from _term when its type is enqueued.  With none
+        # pending, a snapshot after ``record_at`` publishes nothing.
+        settled = self._settled
+        if qtype not in settled:
+            if hist.bootstrap_pending:
+                if qtype in self._terms:
+                    self._watch.add(qtype)
+            elif self._views_persist and hist.snapshot().count:
+                settled.add(qtype)
+        if _GENERAL_KEY not in settled:
+            if general.bootstrap_pending:
+                if self._general_deps:
+                    self._watch.add(_GENERAL_KEY)
+            elif self._views_persist and general.snapshot().count:
+                settled.add(_GENERAL_KEY)

@@ -40,7 +40,8 @@ class LatencySLO:
             if not 0 < p < 100:
                 raise ConfigurationError(
                     f"percentile must be in (0, 100), got {percentile}")
-            if seconds <= 0:
+            # Written so that NaN fails it: a NaN target is never exceeded.
+            if not seconds > 0:
                 raise ConfigurationError(
                     f"SLO target must be positive, got {seconds}s at p{p:g}")
             cleaned[int(p) if p == int(p) else p] = float(seconds)
@@ -119,6 +120,9 @@ class SLORegistry:
 
     def __init__(self, default: LatencySLO,
                  per_type: Optional[Mapping[str, LatencySLO]] = None) -> None:
+        #: Bumped by every :meth:`register`; a policy caching per-type
+        #: lookups compares it to know they are still current.
+        self.version = 0
         self._default = default
         self._per_type: Dict[str, LatencySLO] = {}
         for qtype, slo in (per_type or {}).items():
@@ -142,6 +146,7 @@ class SLORegistry:
             self._default = slo
         else:
             self._per_type[qtype] = slo
+        self.version += 1
 
     def for_type(self, qtype: str) -> LatencySLO:
         """SLO for ``qtype``, falling back to the default."""

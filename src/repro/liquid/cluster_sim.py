@@ -758,13 +758,6 @@ class ClusterMetrics(SampleStore):
         list and pool types (the ALL row's means sum) in this order."""
         return sorted(self._per_type)
 
-    def attainment(self, threshold: float) -> Dict[str, float]:
-        """As the single host's, but a type with no completion (rejected
-        or failed only) has no entry."""
-        return self._attainment(threshold, [
-            qtype for qtype in self.measured_types()
-            if self._per_type[qtype].responses])
-
 
 @dataclass
 class ClusterReport:

@@ -92,17 +92,13 @@ class SampleStore:
     def attainment(self, threshold: float) -> Dict[str, float]:
         """Fraction of completed responses within ``threshold`` seconds.
 
-        Keyed per type plus ``"ALL"``; a type with no completions scores
-        0.0.
+        Keyed per measured type plus ``"ALL"``; a type with no
+        completions (rejected or failed only) scores 0.0.
         """
-        return self._attainment(threshold, self.measured_types())
-
-    def _attainment(self, threshold: float,
-                    qtypes: List[str]) -> Dict[str, float]:
         result: Dict[str, float] = {}
         total = 0
         within_total = 0
-        for qtype in qtypes:
+        for qtype in self.measured_types():
             responses = self._per_type[qtype].responses
             within = sum(1 for r in responses if r <= threshold)
             count = len(responses)

@@ -2,11 +2,12 @@
 
 :class:`NaiveBouncerPolicy` is Algorithm 1 with nothing cached: Eq. 2
 walks the queue view and reads every queued type's published snapshot on
-every decision, and the percentile estimates are recomputed from the
-arriving type's snapshot every time.  It does not subscribe to the queue
-view, so none of :class:`~repro.core.bouncer.BouncerPolicy`'s incremental
-Eq. 2 state (term table, publish-due horizon, bootstrap watch, memo) ever
-exists.  Its decisions, estimates and tallies are what the fast path must
+every decision, the percentile estimates are recomputed from the
+arriving type's snapshot every time, and the verdict compares each
+constrained percentile's estimate with its target.  It does not subscribe
+to the queue view, so none of :class:`~repro.core.bouncer.BouncerPolicy`'s
+incremental Eq. 2 state (term table, publish-due horizon, bootstrap watch,
+memo) ever exists, and it keeps no decision entry between decisions.  Its decisions, estimates and tallies are what the fast path must
 reproduce bit for bit (``tests/test_fast_path.py``,
 ``tests/test_batch_differential.py``), and its Figure 6 run reproduces the
 recorded fingerprint in ``tests/golden/event_engine.json``.
@@ -20,6 +21,7 @@ from typing import Optional
 
 from repro.core.bouncer import BouncerConfig, BouncerPolicy, _TypeEntry
 from repro.core.context import HostContext
+from repro.core.types import AdmissionResult, Decision, Query, RejectReason
 
 
 def naive_wait_mean(policy: BouncerPolicy) -> float:
@@ -74,7 +76,26 @@ class NaiveBouncerPolicy(BouncerPolicy):
             snap = own
             slo = self._slos.for_type(qtype)
         values = None if snap.is_empty else snap.percentiles(slo.percentiles)
-        return _TypeEntry(slo, cold, values)
+        return _TypeEntry(slo, cold, values, self._mode_any)
+
+    def _decide(self, query: Query) -> AdmissionResult:
+        """Algorithm 1 as written: every constrained percentile's estimate
+        against its target (``decide_types`` still reads the entry's
+        wait limit, so the batch differentials compare the two)."""
+        estimate = self.estimate(query.qtype)
+        exceeded = constrained = 0
+        for percentile, target in estimate.slo.items():
+            constrained += 1
+            if estimate.response.get(percentile, 0.0) > target:
+                exceeded += 1
+        if self._mode_any:
+            accept = exceeded == 0
+        else:
+            accept = constrained == 0 or exceeded != constrained
+        if accept:
+            return AdmissionResult(Decision.ACCEPT, None, estimate.response)
+        return AdmissionResult(Decision.REJECT, RejectReason.SLO_ESTIMATE,
+                               estimate.response)
 
 
 def naive_bouncer(slos, **config):

@@ -165,7 +165,10 @@ class ListClusterMetrics:
         out: Dict[str, float] = {}
         total = 0
         within = 0
-        for qtype, responses in sorted(self.responses.items()):
+        for qtype in self._measured_types():
+            # A type with rejections but no completion scores 0.0, as on
+            # the single host.
+            responses = self.responses.get(qtype, [])
             hits = sum(1 for r in responses if r <= threshold)
             out[qtype] = hits / len(responses) if responses else 0.0
             total += len(responses)

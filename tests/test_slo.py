@@ -42,6 +42,15 @@ class TestLatencySLO:
         with pytest.raises(ConfigurationError):
             LatencySLO({50: 0.0})
 
+    def test_rejects_nan_target(self):
+        # A NaN target is never exceeded: it would leave its percentile
+        # silently unconstrained.
+        nan = float("nan")
+        with pytest.raises(ConfigurationError):
+            LatencySLO({50: nan, 90: 0.05})
+        with pytest.raises(ConfigurationError):
+            LatencySLO.from_ms(p50=nan)
+
     def test_rejects_decreasing_targets(self):
         with pytest.raises(ConfigurationError):
             LatencySLO({50: 0.050, 90: 0.018})
@@ -85,6 +94,14 @@ class TestSLORegistry:
         registry.register("t", slo1)
         registry.register("t", slo2)
         assert registry.for_type("t") == slo2
+
+    def test_register_bumps_version(self):
+        slo = LatencySLO.from_ms(p50=18, p90=50)
+        registry = SLORegistry(slo, {"a": slo})
+        before = registry.version
+        registry.register("t", slo)
+        registry.register(DEFAULT_QUERY_TYPE, slo)
+        assert registry.version == before + 2
 
     def test_register_default_type_updates_default(self):
         slo1 = LatencySLO.from_ms(p50=18, p90=50)
