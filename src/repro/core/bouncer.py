@@ -179,26 +179,6 @@ class _SnapshotStats:
         self.percentiles: Dict[Tuple[float, ...], List[float]] = {}
 
 
-class _Eq2Term:
-    """One queued type's row in the Eq. 2 term table.
-
-    Array-of-structs layout: the queue count and the cached mean (plus its
-    staleness tokens) live together, so the Eq. 2 sum is a single pass over
-    ``terms.values()`` with no cross-dict lookups — the batch path's inner
-    loop.  ``mean is None`` marks a term created while a full refresh was
-    already pending (the refresh fills every mean before the sum runs).
-    """
-
-    __slots__ = ("count", "mean", "used_general", "epoch")
-
-    def __init__(self, count: int, mean: Optional[float] = None,
-                 used_general: bool = False, epoch: int = -1) -> None:
-        self.count = count
-        self.mean = mean
-        self.used_general = used_general
-        self.epoch = epoch
-
-
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 #: The rank of ``+inf`` among the non-NaN floats, ordered by bit pattern.
 _INF_RANK = 0x7FF0000000000000
@@ -268,6 +248,8 @@ class _TypeEntry:
 class FastPathStats:
     """Counters describing the estimator caches (telemetry surface).
 
+    ``eq2_recomputes`` counts Eq. 2's reads of a queued type's mean, made
+    when none is held or the held one is past its horizon.
     ``batch_calls`` / ``batch_queries`` count ``decide_types`` invocations
     and the queries they carried (mean batch size is their ratio).
     """
@@ -303,33 +285,20 @@ class BouncerPolicy(AdmissionPolicy):
         # percentile path use this same bound).
         self._min_trusted = max(config.min_samples, 1)
         self.fast_path_stats = FastPathStats()
-        # Eq. 2 term table (array-of-structs: count + cached mean per
-        # queued type).  Insertion order mirrors the queue view's counts
-        # dict so the sum visits types in the same order as the naive
-        # occupancy walk — float addition is order-sensitive.
-        self._terms: Dict[str, _Eq2Term] = {}
-        self._pending_terms = 0
         self._stat_cache: Dict[str, _SnapshotStats] = {}
-        self._next_due = math.inf
-        self._general_deps = 0
-        self._general_epoch_used = -1
-        self._watch: Set[str] = set()
-        self._sum_dirty = False
-        # Memoized Eq. 2 result: valid until a queue event, a refresh
-        # trigger, or a publish boundary — exact because it is the very
-        # value the dot product produced, merely reused.
-        self._wait_cache: Optional[float] = None
-        # Decision entries, one per type, reused untouched while the
-        # clock is before ``entry.until``, the first publish boundary of
-        # the backends it was read from (re-reading them sooner returns
-        # the same views), and the SLO registry is at ``entry.version``.
-        # invalidate_estimates() drops them.
+        # Per type, its decision entry and its Eq. 2 ``(mean, until)``,
+        # each reused untouched while the clock is before ``until``, the
+        # first publish boundary of the backends it was read from
+        # (re-reading them sooner returns the same views), an entry also
+        # while the SLO registry is at ``entry.version``.  A record that
+        # arms a bootstrap publish drops what it could change
+        # (on_completed); invalidate_estimates() drops everything.
         self._entries: Dict[str, _TypeEntry] = {}
+        self._means: Dict[str, Tuple[float, float]] = {}
         # Backends seen holding a view, which with retain_min_samples >= 1
         # is never replaced by an empty one: no bootstrap publish to come.
         self._settled: Set[str] = set()
         self._views_persist = config.retain_min_samples > 0
-        ctx.queue.subscribe(self._on_queue_event)
 
     # -- construction helpers -------------------------------------------
     def _new_histogram(self) -> HistogramBackend:
@@ -438,31 +407,28 @@ class BouncerPolicy(AdmissionPolicy):
     def estimate_wait_mean(self) -> float:
         """Eq. 2: expected mean queue wait for a newly accepted query.
 
-        The per-type occupancy and means are maintained incrementally
-        (queue-view subscription + publish-epoch invalidation), so this is
-        one multiply-add per *distinct* queued type, and a memo hit while
-        neither the queue nor any term has changed.  The naive walk over
-        the queue view that it must equal bit for bit is the test oracle
-        (``tests/bouncer_oracle.py``).
+        Walks the queue view's counts in their own order -- float addition
+        is order-sensitive -- and reuses each queued type's mean under the
+        decision entries' rule (``_means``), so between publications it is
+        one multiply-add per *distinct* queued type.  The naive walk that
+        re-reads every mean, which this must equal bit for bit, is the
+        test oracle (``tests/bouncer_oracle.py``).
         """
-        if not self._terms:
+        counts = self._ctx.queue.counts
+        if not counts:
             return 0.0
-        if (self._sum_dirty or self._pending_terms
-                or self._ctx.clock.now() >= self._next_due):
-            self._refresh_terms()
-        if self._watch:
-            self._service_watch()
-            if self._sum_dirty:
-                self._refresh_terms()
-        wait = self._wait_cache
-        if wait is None:
-            # Every mutation path clears the memo; the refresh above fills
-            # every term's mean.
-            total = 0.0
-            for term in self._terms.values():
-                total += term.count * term.mean  # type: ignore[operator]
-            wait = self._wait_cache = total / self._ctx.parallelism
-        return wait
+        now = self._ctx.clock.now()
+        means = self._means
+        total = 0.0
+        for qtype, count in counts.items():
+            mean = means.get(qtype)
+            if mean is None or not now < mean[1]:
+                self.fast_path_stats.eq2_recomputes += 1
+                cold, snap, until = self._read(qtype)
+                mean = means[qtype] = (self._stat_entry(
+                    _GENERAL_KEY if cold else qtype, snap).mean, until)
+            total += count * mean[0]
+        return total / self._ctx.parallelism
 
     def estimate(self, qtype: str) -> BouncerEstimate:
         """Full percentile response-time estimate for an incoming type.
@@ -482,43 +448,36 @@ class BouncerPolicy(AdmissionPolicy):
         return BouncerEstimate(qtype, wait_mean, response, entry.slo,
                                entry.cold)
 
+    def _read(self, qtype: str) -> Tuple[bool, HistogramSnapshot, float]:
+        """Touch ``qtype``'s backends in the naive walk's order: whether
+        the Appendix A fallback applies, the view to use (the general one
+        when it does), and until when a re-read returns the same views --
+        the earliest publish boundary of the backends read, ``-inf`` for
+        sliding windows, which show each record at once."""
+        hist = self._histogram_for(qtype)
+        snap = hist.snapshot()
+        until = hist.next_publish_due()
+        cold = snap.count < self._min_trusted
+        if cold:
+            snap = self._general.snapshot()
+            until = min(until, self._general.next_publish_due())
+        if hist.records_visible_immediately:
+            until = -math.inf
+        return cold, snap, until
+
     def _entry(self, qtype: str) -> _TypeEntry:
         """The arriving type's Eqs. 3-4 inputs, Appendix A fallback applied.
 
         Callers compute the Eq. 2 wait *first*: the snapshot touches here
         follow Eq. 2's, the order the naive walk makes them in.  Percentile
-        values are memoized per publish epoch.  A touch may itself publish
-        a new view (e.g. an externally forced swap); if the arriving type
-        backs a term of the cached Eq. 2 sum with a different epoch, the
-        sum is marked dirty so the *next* estimate refreshes it.  (Time-
-        and bootstrap-driven publishes are caught before this point by
-        ``_next_due`` and the bootstrap watch; this is a backstop for
-        out-of-band mutation.)  The entry object is kept while its inputs
-        are the very same objects; its horizon is renewed either way.
+        values are memoized per publish epoch.  The entry object is kept
+        while its inputs are the very same objects; its horizon is renewed
+        either way.
         """
-        hist = self._histogram_for(qtype)
-        own = hist.snapshot()
-        until = hist.next_publish_due()
-        cold = own.count < self._min_trusted
-        if cold:
-            snap = self._general.snapshot()
-            slo = self._slos.default
-            until = min(until, self._general.next_publish_due())
-        else:
-            snap = own
-            slo = self._slos.for_type(qtype)
+        cold, snap, until = self._read(qtype)
+        slo = self._slos.default if cold else self._slos.for_type(qtype)
         values: Optional[List[float]] = None
         if not snap.is_empty:
-            term = self._terms.get(qtype)
-            if term is not None and term.mean is not None:
-                if term.used_general:
-                    if not cold:
-                        self._sum_dirty = True
-                elif term.epoch != own.epoch:
-                    self._sum_dirty = True
-            if (cold and self._general_deps
-                    and snap.epoch != self._general_epoch_used):
-                self._sum_dirty = True
             stats = self._stat_entry(_GENERAL_KEY if cold else qtype, snap)
             percentiles = slo.percentiles
             values = stats.percentiles.get(percentiles)
@@ -530,75 +489,9 @@ class BouncerPolicy(AdmissionPolicy):
                 or entry.values is not values or entry.cold != cold):
             entry = self._entries[qtype] = _TypeEntry(
                 slo, cold, values, self._mode_any)
-        # An empty view may bootstrap-publish at any touch, and a sliding
-        # window shows each record at once: such an entry holds for one use.
-        entry.until = (-math.inf if (hist.records_visible_immediately
-                                     or own.is_empty or snap.is_empty)
-                       else until)
+        entry.until = until
         entry.version = self._slos.version
         return entry
-
-    # -- incremental Eq. 2 state -------------------------------------------
-    def _on_queue_event(self, qtype: str, delta: int) -> None:
-        """Queue-view subscription: mirror occupancy incrementally."""
-        self._wait_cache = None
-        term = self._terms.get(qtype)
-        if delta > 0:
-            if term is not None:
-                term.count += 1
-            elif self._sum_dirty or self._touch_sets_phase(qtype):
-                # A pending refresh recomputes every term anyway.
-                self._terms[qtype] = _Eq2Term(1)
-                self._pending_terms += 1
-            else:
-                self._terms[qtype] = self._term(qtype, 1)
-        elif term is None:
-            # The view held entries before this policy subscribed to it
-            # (a policy built over a live queue): rebuild the table from
-            # the authoritative view.
-            self._terms = {
-                queued: _Eq2Term(count)
-                for queued, count in self._ctx.queue.occupancy().items()}
-            self._pending_terms = len(self._terms)
-            self._sum_dirty = True
-        elif term.count > 1:
-            term.count -= 1
-        else:
-            del self._terms[qtype]
-            if term.mean is None:
-                self._pending_terms -= 1
-            elif term.used_general:
-                self._general_deps -= 1
-                if self._general_deps == 0:
-                    self._general_epoch_used = -1
-
-    def _touch_sets_phase(self, qtype: str) -> bool:
-        """Would computing ``qtype``'s term now move a publisher's phase?
-
-        Creating a histogram fixes its slice starts and swap boundaries,
-        a bootstrap publish restarts the interval at the instant of the
-        touch, and a time-driven publish that is due empties the write
-        buffer into a view -- one more view than the naive walk makes if
-        nothing else touches the publisher before the following boundary
-        (with ``retain_min_samples=0`` that extra view is an empty one).
-        The naive walk does all three at the next record or decision,
-        never at an enqueue, so here they must wait for it: the caller
-        leaves a pending term, and the refresh that forces touches the
-        publishers at the next decision.  Hosts decide before they
-        enqueue, so for them the histogram exists, its bootstrap, if one
-        was due, has just fired, and it has been read at this instant;
-        the general histogram is asked only when the term would read it.
-        """
-        hist = self._hists.get(qtype)
-        if (hist is None or hist.bootstrap_pending
-                or self._general.bootstrap_pending):
-            return True
-        now = self._ctx.clock.now()
-        if now >= hist.next_publish_due():
-            return True
-        # Nothing is due on ``hist``, so reading its view moves nothing.
-        return (hist.snapshot().count < self._min_trusted
-                and now >= self._general.next_publish_due())
 
     def _stat_entry(self, key: str,
                     snap: HistogramSnapshot) -> _SnapshotStats:
@@ -613,120 +506,6 @@ class BouncerPolicy(AdmissionPolicy):
             stats.cache_hits += 1
         return entry
 
-    def _term(self, qtype: str, count: int) -> _Eq2Term:
-        """Compute one type's Eq. 2 term and fold in its refresh triggers."""
-        hist = self._histogram_for(qtype)
-        snap = hist.snapshot()
-        self._next_due = min(self._next_due, hist.next_publish_due())
-        if snap.count >= self._min_trusted:
-            entry = self._stat_entry(qtype, snap)
-            return _Eq2Term(count, entry.mean, False, snap.epoch)
-        gsnap = self._general.snapshot()
-        gentry = self._stat_entry(_GENERAL_KEY, gsnap)
-        if self._general_deps:
-            if gsnap.epoch != self._general_epoch_used:
-                # Another term was computed against an older general view.
-                self._sum_dirty = True
-        else:
-            self._general_epoch_used = gsnap.epoch
-        self._general_deps += 1
-        self._next_due = min(self._next_due,
-                             self._general.next_publish_due())
-        if hist.bootstrap_pending:
-            self._watch.add(qtype)
-        if self._general.bootstrap_pending:
-            self._watch.add(_GENERAL_KEY)
-        return _Eq2Term(count, gentry.mean, True, gsnap.epoch)
-
-    def _refresh_terms(self) -> None:
-        """Slow path: recompute every queued type's Eq. 2 term.
-
-        Runs on publish boundaries, bootstrap publishes, sliding-window
-        content changes, and resynchronization — i.e. exactly when a cached
-        term might no longer match what the naive walk would compute.  The
-        snapshots it touches are a subset of the ones that walk touches on
-        every single decision, so lazy swaps and bootstrap publishes happen
-        at the same instants as under the walk (the test oracle,
-        ``tests/bouncer_oracle.py``).
-        """
-        self.fast_path_stats.eq2_recomputes += 1
-        self._sum_dirty = False
-        self._wait_cache = None
-        self._next_due = math.inf
-        self._general_deps = 0
-        self._general_epoch_used = -1
-        self._pending_terms = 0
-        terms: Dict[str, _Eq2Term] = {}
-        general_entry: Optional[_SnapshotStats] = None
-        general_epoch = -1
-        general_deps = 0
-        for qtype, old in self._terms.items():
-            hist = self._histogram_for(qtype)
-            snap = hist.snapshot()
-            self._next_due = min(self._next_due, hist.next_publish_due())
-            if snap.count >= self._min_trusted:
-                terms[qtype] = _Eq2Term(
-                    old.count, self._stat_entry(qtype, snap).mean,
-                    False, snap.epoch)
-            else:
-                if general_entry is None:
-                    gsnap = self._general.snapshot()
-                    general_entry = self._stat_entry(_GENERAL_KEY, gsnap)
-                    general_epoch = gsnap.epoch
-                terms[qtype] = _Eq2Term(old.count, general_entry.mean,
-                                        True, general_epoch)
-                general_deps += 1
-                if hist.bootstrap_pending:
-                    self._watch.add(qtype)
-        if general_deps:
-            self._next_due = min(self._next_due,
-                                 self._general.next_publish_due())
-            if self._general.bootstrap_pending:
-                self._watch.add(_GENERAL_KEY)
-        self._terms = terms
-        self._general_deps = general_deps
-        self._general_epoch_used = general_epoch
-
-    def _service_watch(self) -> None:
-        """Poke watched backends so pending bootstrap publishes fire.
-
-        Bootstrap publishes are sample-driven, not time-driven, so
-        ``_next_due`` cannot anticipate them; instead, completions note
-        backends nearing their bootstrap and this touches them on the next
-        decision — the same instant the naive path's walk would have.  Only
-        backends the naive walk would touch (queued types; the general
-        histogram when a term depends on it) are poked.
-        """
-        for key in list(self._watch):
-            if key == _GENERAL_KEY:
-                if not self._general_deps:
-                    # No Eq. 2 term depends on the general view; if one
-                    # appears later, _term re-adds the watch.
-                    self._watch.discard(key)
-                    continue
-                backend: HistogramBackend = self._general
-            else:
-                if key not in self._terms:
-                    # Not queued -> no term to go stale; an enqueue takes a
-                    # fresh snapshot (and re-watches) anyway.
-                    self._watch.discard(key)
-                    continue
-                backend = self._histogram_for(key)
-            snap = backend.snapshot()
-            if not backend.bootstrap_pending:
-                self._watch.discard(key)
-            if key == _GENERAL_KEY:
-                if snap.epoch != self._general_epoch_used:
-                    self._sum_dirty = True
-            else:
-                term = self._terms.get(key)
-                if term is not None and term.mean is not None:
-                    if term.used_general:
-                        if snap.count >= self._min_trusted:
-                            self._sum_dirty = True
-                    elif term.epoch != snap.epoch:
-                        self._sum_dirty = True
-
     def invalidate_estimates(self) -> None:
         """Drop all cached estimator state.
 
@@ -736,9 +515,8 @@ class BouncerPolicy(AdmissionPolicy):
         """
         self._stat_cache.clear()
         self._entries.clear()
+        self._means.clear()
         self._settled.clear()
-        self._sum_dirty = True
-        self._wait_cache = None
 
     # -- the decision (Algorithm 1) ----------------------------------------
     def _decide(self, query: Query) -> AdmissionResult:
@@ -801,13 +579,14 @@ class BouncerPolicy(AdmissionPolicy):
         """Point 3: record the processing time in the type's histogram.
 
         Every completion also feeds the general histogram, which backs the
-        cold-start fallback (Appendix A).  The record also updates the
-        Eq. 2 state's invalidation hints: sliding-window backends
-        make records visible immediately (so any dependent Eq. 2 term goes
-        stale now), while dual-buffer backends only change at a publish —
-        the one sample-driven publish (cold-start bootstrap) is tracked via
-        the bootstrap watch, polled only until the backend holds a view
-        it cannot lose (``_settled``).
+        cold-start fallback (Appendix A).  A dual buffer publishes at a
+        touch only once its boundary is due -- which every reuse horizon
+        already bounds -- or once a record arms its bootstrap publish: a
+        record that does drops the entry and mean read from that backend
+        (every one, for the general histogram), so the next read touches
+        it where the naive walk would.  A backend is checked only until it
+        holds a view it cannot lose (``_settled``).  Sliding windows never
+        bootstrap, and their reads are never reused.
         """
         qtype = query.qtype
         hist = self._hists.get(qtype)
@@ -819,23 +598,17 @@ class BouncerPolicy(AdmissionPolicy):
         general = self._general
         general.record_at(index, processing_time)
         if hist.records_visible_immediately:
-            if qtype in self._terms or self._general_deps:
-                self._sum_dirty = True
             return
-        # Watch only backends a cached Eq. 2 term depends on; any other
-        # backend gets a fresh snapshot (and a new watch, if still
-        # pending) from _term when its type is enqueued.  With none
-        # pending, a snapshot after ``record_at`` publishes nothing.
         settled = self._settled
         if qtype not in settled:
             if hist.bootstrap_pending:
-                if qtype in self._terms:
-                    self._watch.add(qtype)
+                self._entries.pop(qtype, None)
+                self._means.pop(qtype, None)
             elif self._views_persist and hist.snapshot().count:
                 settled.add(qtype)
         if _GENERAL_KEY not in settled:
             if general.bootstrap_pending:
-                if self._general_deps:
-                    self._watch.add(_GENERAL_KEY)
+                self._entries.clear()
+                self._means.clear()
             elif self._views_persist and general.snapshot().count:
                 settled.add(_GENERAL_KEY)

@@ -60,9 +60,8 @@ class DualBufferHistogram:
     :class:`repro.core.histogram.HistogramSnapshot`).
     """
 
-    #: Records only become visible at the next publish, never immediately;
-    #: the Bouncer fast path uses this to decide whether a completion must
-    #: dirty its cached Eq. 2 state.
+    #: Records only become visible at the next publish, never immediately,
+    #: so Bouncer may reuse what it read from this buffer until then.
     records_visible_immediately = False
 
     def __init__(self, clock: Clock, interval: float = DEFAULT_INTERVAL,
@@ -103,8 +102,9 @@ class DualBufferHistogram:
     def bootstrap_pending(self) -> bool:
         """True when the next touch would trigger a bootstrap publish.
 
-        The Bouncer fast path polls this after recording completions to
-        know it must keep touching the buffer until the bootstrap fires.
+        Apart from a preload, only a record can make it true.  Bouncer
+        checks it after each record and, when it is, drops what it read
+        from this buffer.
         """
         return bool(self._bootstrap_samples
                     and self._published.is_empty
@@ -200,9 +200,13 @@ class DualBufferHistogram:
             return
         self._publish()
         # Skip whole intervals that elapsed with no activity so the next
-        # boundary is in the future relative to ``now``.
+        # boundary is in the future relative to ``now``.  The float sum can
+        # round the boundary back onto ``now``, which would publish again
+        # at the next touch of this same instant.
         intervals_behind = int((now - self._next_swap) / self._interval) + 1
         self._next_swap += intervals_behind * self._interval
+        if self._next_swap <= now:
+            self._next_swap += self._interval
 
     def _publish(self) -> None:
         self._swaps += 1
@@ -236,8 +240,7 @@ class SlidingWindowHistogram:
     """
 
     #: Records land in the current slice and are visible on the very next
-    #: merge — the Bouncer fast path must treat any completion as
-    #: invalidating cached Eq. 2 state for this publisher.
+    #: merge, so Bouncer reuses nothing it read from this publisher.
     records_visible_immediately = True
 
     def __init__(self, clock: Clock, window: float = 10.0, step: float = 1.0,

@@ -225,37 +225,23 @@ class QueueView:
     """What a policy may observe about the host's FIFO queue.
 
     The framework owns the queue; policies receive a live view with per-type
-    occupancy (Bouncer's Eq. 2 input) and total length (MaxQL's input).
-    Implementations must keep :meth:`count_for` and :meth:`length` cheap —
-    they run on every arrival.  Not synchronized: the owning host
-    serializes :meth:`on_enqueue`/:meth:`on_dequeue` with the policy calls
-    that read the view (module docstring).
+    occupancy (Bouncer's Eq. 2 input, walked in ``counts``' own order) and
+    total length (MaxQL's input).  Implementations must keep
+    :meth:`count_for` and :meth:`length` cheap — they run on every arrival.
+    Not synchronized: the owning host serializes
+    :meth:`on_enqueue`/:meth:`on_dequeue` with the policy calls that read
+    the view (module docstring).
     """
 
-    __slots__ = ("counts", "_length", "_listeners")
+    __slots__ = ("counts", "_length")
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
         self._length = 0
-        self._listeners: List[Callable[[str, int], None]] = []
-
-    def subscribe(self, listener: Callable[[str, int], None]) -> None:
-        """Register ``listener(qtype, delta)`` for occupancy changes.
-
-        ``delta`` is ``+1`` on enqueue and ``-1`` on dequeue.  Listeners
-        run synchronously inside :meth:`on_enqueue`/:meth:`on_dequeue`,
-        after the counts are updated and in subscription order, so a
-        listener always sees :meth:`occupancy` agree with the deltas it
-        has been given (Bouncer's incremental Eq. 2 state is one; see
-        docs/performance.md).
-        """
-        self._listeners.append(listener)
 
     def on_enqueue(self, qtype: str) -> None:
         self.counts[qtype] = self.counts.get(qtype, 0) + 1
         self._length += 1
-        for listener in self._listeners:
-            listener(qtype, 1)
 
     def on_dequeue(self, qtype: str) -> None:
         remaining = self.counts.get(qtype, 0) - 1
@@ -264,8 +250,6 @@ class QueueView:
         else:
             self.counts.pop(qtype, None)
         self._length -= 1
-        for listener in self._listeners:
-            listener(qtype, -1)
 
     def count_for(self, qtype: str) -> int:
         """Number of queued queries of ``qtype``."""

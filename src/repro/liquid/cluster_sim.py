@@ -868,8 +868,8 @@ def run_cluster_simulation(config: ClusterConfig,
     """
     if num_queries < 1:
         raise ConfigurationError("num_queries must be >= 1")
-    if rate_qps <= 0:
-        raise ConfigurationError("rate_qps must be > 0")
+    if not 0 < rate_qps < math.inf:     # NaN fails it too
+        raise ConfigurationError("rate_qps must be finite and > 0")
     if warmup_queries is None:
         warmup_queries = max(num_queries // 5, int(2.0 * rate_qps), 1000)
     total = warmup_queries + num_queries

@@ -16,6 +16,7 @@ tool's in-process counterpart:
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -115,8 +116,10 @@ class LoadGenerator:
                  retry: Optional[RetryPolicy] = None,
                  deadline: Optional[float] = None,
                  clock: Optional[SleepingClock] = None) -> None:
-        if rate_qps <= 0:
-            raise ConfigurationError(f"rate_qps must be > 0, got {rate_qps}")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < rate_qps < math.inf:
+            raise ConfigurationError(
+                f"rate_qps must be finite and > 0, got {rate_qps}")
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(
                 f"deadline must be > 0, got {deadline}")

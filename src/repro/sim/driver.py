@@ -89,8 +89,8 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
     """
     if num_queries < 1:
         raise ConfigurationError("num_queries must be >= 1")
-    if burst < 1:
-        raise ConfigurationError("burst must be >= 1")
+    # Refuses a rate or a burst it cannot generate.
+    schedule = ArrivalSchedule(mix, rate_qps, seed=seed, burst=burst)
     if warmup_queries is None:
         warmup_queries = max(num_queries // 5, int(2.0 * rate_qps), 1000)
     total = warmup_queries + num_queries
@@ -99,7 +99,6 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
     server = SimulatedServer(sim, parallelism, policy_factory,
                              on_decision=on_decision, telemetry=telemetry,
                              fault_injector=fault_injector)
-    schedule = ArrivalSchedule(mix, rate_qps, seed=seed, burst=burst)
     offered = 0
     utilization = 0.0
 

@@ -182,10 +182,13 @@ class ArrivalSchedule:
     def __init__(self, mix: WorkloadMix, rate_qps: float,
                  seed: Optional[int] = None, start: float = 0.0,
                  burst: int = 1) -> None:
-        if rate_qps <= 0:
-            raise ConfigurationError(f"rate must be > 0, got {rate_qps}")
-        if burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {burst}")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < rate_qps < math.inf:
+            raise ConfigurationError(
+                f"rate must be finite and > 0, got {rate_qps}")
+        if not isinstance(burst, int) or burst < 1:
+            raise ConfigurationError(
+                f"burst must be an integer >= 1, got {burst!r}")
         self.mix = mix
         self.rate_qps = float(rate_qps)
         self.seed = seed

@@ -124,7 +124,8 @@ def render_metrics(policy: AdmissionPolicy,
             ("estimator_cache_misses", fast.cache_misses,
              "Fast-path estimator cache misses (new publish epoch)."),
             ("eq2_recomputes", fast.eq2_recomputes,
-             "Full recomputes of the incremental Eq. 2 term table."),
+             "Eq. 2 reads of a queued type's mean (none held, or past "
+             "its publish horizon)."),
             ("batch_calls", fast.batch_calls,
              "decide_types invocations (decisions by type name)."),
             ("batch_queries", fast.batch_queries,
@@ -240,8 +241,8 @@ class Telemetry:
             "derived stats were computed for a new publish epoch).")
         self._eq2_recomputes = reg.counter(
             "eq2_recomputes",
-            "Full recomputes of Bouncer's incremental Eq. 2 term table "
-            "(publish boundaries, bootstrap publishes, resyncs).")
+            "Bouncer's Eq. 2 reads of a queued type's mean (none held, "
+            "or past its publish horizon).")
         self._calibration_gauge = reg.gauge(
             "estimator_calibration",
             "Estimator calibration stats: rolling mean signed error and "

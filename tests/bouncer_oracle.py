@@ -4,11 +4,11 @@
 walks the queue view and reads every queued type's published snapshot on
 every decision, the percentile estimates are recomputed from the
 arriving type's snapshot every time, and the verdict compares each
-constrained percentile's estimate with its target.  It does not subscribe
-to the queue view, so none of :class:`~repro.core.bouncer.BouncerPolicy`'s
-incremental Eq. 2 state (term table, publish-due horizon, bootstrap watch,
-memo) ever exists, and it keeps no decision entry between decisions.  Its decisions, estimates and tallies are what the fast path must
-reproduce bit for bit (``tests/test_fast_path.py``,
+constrained percentile's estimate with its target.  It keeps none of
+:class:`~repro.core.bouncer.BouncerPolicy`'s per-type reads between
+decisions: no Eq. 2 mean and no decision entry is reused until its
+publish horizon.  Its decisions, estimates and tallies are what the fast
+path must reproduce bit for bit (``tests/test_fast_path.py``,
 ``tests/test_batch_differential.py``), and its Figure 6 run reproduces the
 recorded fingerprint in ``tests/golden/event_engine.json``.
 
@@ -56,10 +56,6 @@ def checked_wait_mean(policy: BouncerPolicy) -> float:
 
 class NaiveBouncerPolicy(BouncerPolicy):
     """Bouncer with every estimate recomputed from the snapshots."""
-
-    def __init__(self, ctx: HostContext, config: BouncerConfig) -> None:
-        super().__init__(ctx, config)
-        ctx.queue._listeners.remove(self._on_queue_event)
 
     def estimate_wait_mean(self) -> float:
         return naive_wait_mean(self)

@@ -1,5 +1,6 @@
 """Tests for the event-driven LIquid cluster model (§5.4 substrate)."""
 
+import math
 from unittest import mock
 
 import pytest
@@ -109,6 +110,12 @@ class TestClusterConfig:
 
 
 class TestClusterExecution:
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ConfigurationError):
+            run_cluster_simulation(tiny_config(), accept_all, rate_qps=rate,
+                                   num_queries=10, warmup_queries=0)
+
     def test_light_load_no_rejections(self):
         report = run_cluster_simulation(tiny_config(), accept_all,
                                         rate_qps=200.0, num_queries=500,

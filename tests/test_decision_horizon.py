@@ -7,9 +7,9 @@ while no histogram it reads can publish:
   per-percentile loop into the largest wait it accepts, and the verdict
   ``not (wait > limit)`` must equal the loop for every float wait;
 * the **entry horizon**: an entry is reused untouched until the first
-  publish boundary of the backends it was read from, and never while a
-  backend's view is empty (a touch could bootstrap-publish) or records
-  are visible at once (sliding windows).
+  publish boundary of the backends it was read from, and never while
+  records are visible at once (sliding windows); a record that arms a
+  bootstrap publish drops the entries it could change.
 
 Each horizon edge is driven through Bouncer and the naive oracle
 (``tests/bouncer_oracle.py``), which builds a fresh entry and runs the
@@ -218,10 +218,15 @@ class TestEntryHorizon:
         twin.record("fast", 0.004, 0.004)
         twin.set(0.25)
         assert twin.decide("fast").estimates == {50: 0.0, 90: 0.0}
-        assert twin.entry("fast").until == -math.inf   # views empty
+        # Empty views hold like any other until the first boundary.
+        assert twin.entry("fast").until == 1.0
         twin.record("fast", 0.2)     # 3 samples: the next touch publishes
+        assert twin.entry("fast") is None        # the arming record drops it
+        hist = twin.fast._hists["fast"]
+        assert hist.bootstrap_pending
         twin.set(0.5)
         published = twin.decide("fast")
+        assert not hist.bootstrap_pending and hist.published_epoch == 1
         assert twin.fast.processing_snapshot("fast").count == 3
         assert published.estimates[90] > 0.1
         assert twin.entry("fast").until == 1.5       # restarted interval
@@ -232,10 +237,17 @@ class TestEntryHorizon:
         twin.record("slow", *[0.004] * 5)
         twin.set(0.25)
         twin.decide("fast")          # cold on the general view, own empty
-        assert twin.entry("fast").until == -math.inf
-        twin.record("fast", *[0.004] * 3)
+        entry = twin.entry("fast")
+        assert entry.cold and entry.slo is SLO
+        twin.record("fast", *[0.004] * 2)
+        assert twin.entry("fast") is entry       # nothing armed yet
+        twin.record("fast", 0.004)   # arms own bootstrap, not the general's
+        assert twin.entry("fast") is None
+        hist = twin.fast._hists["fast"]
+        assert hist.bootstrap_pending
         twin.set(0.5)
         twin.decide("fast")          # this touch bootstrap-publishes own
+        assert not hist.bootstrap_pending
         assert twin.entry("fast").slo is TIGHT
 
     def test_a_view_emptied_again_is_watched_again(self):
@@ -362,11 +374,12 @@ def recorded_sequence(policy, clock, queue, seed=20):
             policy.decide(Query(qtype=qtype))
 
 
-#: The estimator counters the same sequence produced before entries were
-#: reused between publications (one cache hit per decision, reused or
-#: re-read, and the same misses and Eq. 2 recomputes).
-RECORDED_COUNTERS = {"cache_hits": 1140, "cache_misses": 141,
-                     "eq2_recomputes": 112, "accepted": 773, "rejected": 199}
+#: The estimator counters of the sequence once Eq. 2's means follow the
+#: entries' reuse rule: a cache hit per reused entry, a hit or a miss per
+#: epoch-memo lookup otherwise, and one Eq. 2 recompute per queued type's
+#: mean re-read.  The tallies are those of every earlier tree.
+RECORDED_COUNTERS = {"cache_hits": 1037, "cache_misses": 138,
+                     "eq2_recomputes": 205, "accepted": 773, "rejected": 199}
 
 
 def test_fast_path_counters_match_the_recorded_sequence():

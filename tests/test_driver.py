@@ -1,6 +1,7 @@
 """Tests for the end-to-end simulation driver (§5.3 methodology)."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,18 @@ class TestRunSimulation:
     def test_rejects_bad_num_queries(self):
         with pytest.raises(ConfigurationError):
             run_simulation(small_mix(), accept_all, 100.0, num_queries=0)
+
+    @pytest.mark.parametrize("warmup", [None, 10])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_a_rate_that_is_not_finite(self, rate, warmup):
+        with pytest.raises(ConfigurationError):
+            run_simulation(small_mix(), accept_all, rate, num_queries=10,
+                           warmup_queries=warmup)
+
+    def test_rejects_a_fractional_burst(self):
+        with pytest.raises(ConfigurationError):
+            run_simulation(small_mix(), accept_all, 100.0, num_queries=10,
+                           burst=2.5)
 
     def test_report_counts_measured_queries_only(self):
         mix = small_mix()

@@ -77,6 +77,20 @@ class TestDualBufferHistogram:
         clock.advance(1.0)
         assert buf.snapshot().mean() == pytest.approx(0.020)
 
+    def test_catch_up_lands_strictly_after_now(self):
+        # The boundary due at 31.500000000000004 is two intervals behind
+        # 33.5, and 31.500000000000004 + 2.0 rounds to 33.5 itself: without
+        # a further step a second read at 33.5 would publish again.
+        clock = ManualClock(30.500000000000004)
+        buf = DualBufferHistogram(clock, interval=1.0, min_samples=0)
+        buf.record(0.010)
+        clock.set(33.5)
+        first = buf.snapshot()
+        assert first.count == 1
+        assert buf.next_publish_due() > 33.5
+        assert buf.snapshot() is first
+        assert buf.swap_count == 1
+
     def test_bootstrap_publishes_before_first_boundary(self):
         clock = ManualClock()
         buf = DualBufferHistogram(clock, interval=10.0, bootstrap_samples=3)

@@ -1,16 +1,19 @@
 """Tests for Bouncer's decision path: epoch-cached snapshot statistics,
-the incrementally maintained Eq. 2 state, the Eq. 2 scalar memo, and the
-micro-optimizations that ride along (``__slots__``, lazy heap compaction).
+Eq. 2's per-type means reused until their histograms' next publish, and
+the micro-optimizations that ride along (``__slots__``, lazy heap
+compaction).
 
 The load-bearing invariant throughout: Bouncer produces decisions and
 estimates *bit-identical* to the naive oracle
 (``tests/bouncer_oracle.py``), which recomputes everything on every
-decision.  The property tests drive both through random interleavings of
-records, enqueues, dequeues, clock advances and decisions; a third
-policy has its Eq. 2 checked after every op (non-negative, exactly 0.0 on
-an empty queue, equal to the naive walk over its own histograms).
+decision.  The property tests and the seeded soaks drive both through
+random interleavings of records, enqueues, dequeues, clock advances and
+decisions; a third policy has its Eq. 2 checked after every op
+(non-negative, exactly 0.0 on an empty queue, equal to the naive walk
+over its own histograms).
 """
 
+import itertools
 import random
 
 import pytest
@@ -320,7 +323,7 @@ class TestFastPathEquivalence:
             policy.decide(Query(qtype="fast"))
         stats = policy.fast_path_stats
         assert stats.cache_hits > 0
-        # Enqueue invalidates the Eq. 2 scalar but not the epoch caches.
+        # An enqueue leaves the held means and the epoch caches alone.
         queue.on_enqueue("fast")
         policy.decide(Query(qtype="fast"))
         assert policy.fast_path_stats.cache_hits > stats.cache_hits - 1
@@ -397,25 +400,6 @@ class TestSlotsTypes:
         assert a != AdmissionResult.accept(estimates={50.0: 0.02})
 
 
-class TestQueueViewSubscription:
-    def test_listener_sees_deltas(self):
-        queue = QueueView()
-        seen = []
-        queue.subscribe(lambda qtype, delta: seen.append((qtype, delta)))
-        queue.on_enqueue("fast")
-        queue.on_enqueue("slow")
-        queue.on_dequeue("fast")
-        assert seen == [("fast", 1), ("slow", 1), ("fast", -1)]
-
-    def test_listener_may_read_view(self):
-        # Listeners run outside the view lock: re-entrancy must not hang.
-        queue = QueueView()
-        lengths = []
-        queue.subscribe(lambda qtype, delta: lengths.append(queue.length()))
-        queue.on_enqueue("fast")
-        assert lengths == [1]
-
-
 class TestRandomizedSoak:
     def test_seeded_soak_fast_equals_naive(self):
         # A longer seeded soak beyond what hypothesis explores per example:
@@ -438,3 +422,43 @@ class TestRandomizedSoak:
         runner = ScriptRunner(min_samples=4, retain_min_samples=3,
                               bootstrap_samples=3)
         runner.assert_identical(runner.run(ops))
+
+
+#: Every dual-buffer combination of the cold-start and retention knobs,
+#: plus sliding-window mode.
+SOAK_CONFIGS = [
+    dict(min_samples=m, retain_min_samples=r, bootstrap_samples=b)
+    for m, r, b in itertools.product((0, 1, 4), (0, 1, 3), (0, 2, 3, 8))
+] + [dict(histogram_mode=HISTOGRAMS_SLIDING_WINDOW, histogram_window=3.0,
+          min_samples=2)]
+
+
+def soak_script(seed, length=600):
+    """Seeded ops whose clock steps, up to 3.0 s, often cross several
+    publish boundaries at once and sum to inexact instants."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.35:
+            ops.append(("record", (rng.choice(TYPES),
+                                   rng.uniform(1e-4, 0.08))))
+        elif roll < 0.55:
+            ops.append(("enqueue", rng.choice(TYPES)))
+        elif roll < 0.70:
+            ops.append(("dequeue", rng.randrange(8)))
+        elif roll < 0.80:
+            ops.append(("advance",
+                        rng.choice((0.1, 0.3, 0.7, 1.3, 2.1, 3.0))))
+        else:
+            ops.append(("decide", rng.choice(TYPES)))
+    return ops
+
+
+@pytest.mark.parametrize("index", range(len(SOAK_CONFIGS)),
+                         ids=[",".join(f"{k}={v}" for k, v in c.items())
+                              for c in SOAK_CONFIGS])
+def test_multi_config_soak_fast_equals_naive(index):
+    for seed in (1000 * index, 1000 * index + 1):
+        runner = ScriptRunner(**SOAK_CONFIGS[index])
+        runner.assert_identical(runner.run(soak_script(seed)))

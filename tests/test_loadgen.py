@@ -1,5 +1,6 @@
 """Tests for the open-loop load generator."""
 
+import math
 import time
 
 import pytest
@@ -22,8 +23,9 @@ class TestLoadGenerator:
     def test_rejects_bad_rate(self):
         server = AdmissionServer(lambda ctx: AlwaysAcceptPolicy(),
                                  fast_handler)
-        with pytest.raises(ConfigurationError):
-            LoadGenerator(server, make_query, rate_qps=0)
+        for rate in (0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                LoadGenerator(server, make_query, rate_qps=rate)
 
     def test_rejects_bad_count(self):
         server = AdmissionServer(lambda ctx: AlwaysAcceptPolicy(),

@@ -131,13 +131,21 @@ class DawdlingMaxQL(MaxQueueLengthPolicy):
 
     The pause widens the window between check and act: submitters that
     the host does not serialize all read the same length and all get in,
-    every run rather than one run in fifty.
+    every run rather than one run in fifty.  Each enqueue notes the queue
+    length it leaves in :attr:`lengths`.
     """
+
+    def __init__(self, ctx, limit):
+        super().__init__(ctx, limit=limit)
+        self.lengths = []
 
     def _decide(self, query: Query) -> AdmissionResult:
         result = super()._decide(query)
         time.sleep(0.002)  # repro: allow=no-wall-clock (real threads racing)
         return result
+
+    def on_enqueued(self, query: Query) -> None:
+        self.lengths.append(self._ctx.queue.length())
 
 
 class TestAdmissionIsAtomic:
@@ -152,9 +160,6 @@ class TestAdmissionIsAtomic:
         server = AdmissionServer(
             lambda ctx: DawdlingMaxQL(ctx, limit=limit), parked,
             workers=workers)
-        lengths = []
-        server.queue_view.subscribe(
-            lambda qtype, delta: lengths.append(server.queue_view.length()))
         barrier = threading.Barrier(submitters)
         outcomes = []
 
@@ -177,7 +182,7 @@ class TestAdmissionIsAtomic:
                 ["ok"] * len(futures))
         # At most ``limit`` wait while each parked worker holds one more.
         assert limit <= len(futures) <= limit + workers
-        assert max(lengths) <= limit
+        assert max(server.policy.lengths) <= limit
         totals = server.policy.stats.totals()
         assert totals.received == submitters == len(outcomes)
         assert totals.accepted == len(futures)

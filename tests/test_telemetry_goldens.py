@@ -13,6 +13,11 @@ pin what the one write path and the one exposition must still produce:
 * the sample lines of ``render_metrics`` (``#`` lines dropped, sorted as
   a multiset) for a Bouncer inside a starvation wrapper.
 
+The estimator counters alone (``estimator_cache_hits``/``misses`` and
+``eq2_recomputes``, in the text and in the traces' ``fast_path`` field)
+were re-recorded when Eq. 2's per-type means took the decision entries'
+reuse rule; they count reads, and that change moved when reads happen.
+
 Query ids come from a process-global counter, so each simulated cell
 restarts it; at ``sample_rate=1.0`` every id is sampled either way.
 ``python -m tests.test_telemetry_goldens`` prints the document the

@@ -122,8 +122,17 @@ class TestWorkloadMix:
 
 class TestArrivalSchedule:
     def test_rejects_nonpositive_rate(self):
+        # NaN fails no ``rate <= 0`` test: it must be refused as well, or
+        # every arrival time comes out NaN.
+        for rate in (0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                ArrivalSchedule(table1_mix(), rate_qps=rate)
+
+    @pytest.mark.parametrize("burst", [2.5, 2.0, 0, -1])
+    def test_rejects_a_burst_that_is_not_a_positive_integer(self, burst):
+        # int() would truncate 2.5 to 2 without a word.
         with pytest.raises(ConfigurationError):
-            ArrivalSchedule(table1_mix(), rate_qps=0)
+            ArrivalSchedule(table1_mix(), 1000.0, burst=burst)
 
     def test_arrival_times_strictly_increase(self):
         schedule = iter(ArrivalSchedule(table1_mix(), 1000.0, seed=1))
