@@ -201,71 +201,6 @@ def test_ablation_sliding_window_histograms(benchmark):
             assert ms.response[50.0] <= 0.018 * 1.2
 
 
-def test_ablation_priority_discipline(benchmark):
-    """§7 future work: serve cheap types first instead of FIFO.
-
-    A shortest-expected-job-first discipline (by type median) under basic
-    Bouncer: cheap types' latencies drop, expensive types queue longer —
-    and because Bouncer's Eq. 2 wait estimate assumes FIFO, its estimates
-    for the expensive types turn optimistic, producing SLO violations the
-    FIFO deployment does not have.  This quantifies why the paper defers
-    priority disciplines to future work.
-    """
-    from repro.sim.server import SimulatedServer
-    from repro.sim.simulator import Simulator
-    from repro.sim.workload import ArrivalSchedule
-
-    def build():
-        mix = simulation_mix()
-        slos = simulation_slos(mix)
-        rate = FACTOR * mix.full_load_qps(100)
-        medians = {spec.name: spec.median for spec in mix}
-        out = {}
-        for label, priority_fn in (
-                ("FIFO", None),
-                ("cheap-first", lambda q: medians.get(q.qtype, 1.0))):
-            sim = Simulator()
-            server = SimulatedServer(sim, 100, bouncer_factory(slos),
-                                     priority_fn=priority_fn)
-            arrivals = iter(ArrivalSchedule(mix, rate, seed=53))
-            total = NUM_QUERIES
-            offered = [0]
-
-            def arrive(query, server=server, sim=sim, offered=offered,
-                       arrivals=arrivals, total=total):
-                offered[0] += 1
-                server.offer(query)
-                if offered[0] < total:
-                    nxt = next(arrivals)
-                    sim.schedule_at(nxt.arrival_time,
-                                    lambda: arrive(nxt))
-
-            first = next(arrivals)
-            sim.schedule_at(first.arrival_time, lambda: arrive(first))
-            sim.run()
-            out[label] = server.metrics.build_type_stats()
-        return out
-
-    stats = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = []
-    for label, per_type in stats.items():
-        fast = per_type.get("fast")
-        slow = per_type.get("slow")
-        rows.append([
-            label,
-            f"{fast.response.get(50.0, 0) * 1000:.2f}" if fast else "-",
-            f"{slow.response.get(50.0, 0) * 1000:.2f}" if slow else "-",
-        ])
-    publish("ablation_priority_discipline", format_table(
-        ["discipline", "fast rt_p50 (ms)", "slow rt_p50 (ms)"], rows,
-        title="Ablation: FIFO vs cheap-first scheduling under Bouncer at "
-              "1.3x"))
-
-    fifo_fast = stats["FIFO"]["fast"].response[50.0]
-    prio_fast = stats["cheap-first"]["fast"].response[50.0]
-    assert prio_fast <= fifo_fast
-
-
 def test_ablation_bouncer_on_both_tiers(benchmark):
     """§5.6 pairing: Bouncer brokers + AcceptFraction shards vs Bouncer on
     both tiers.

@@ -10,13 +10,14 @@ queues of their own — "unlike an ideal parallel query engine".
 
 This module reproduces that structure as a discrete-event model:
 
-* A :class:`BrokerHost` implements the Figure-1 framework (admission, FIFO
-  queue, engine processes).  A broker engine process executes a query by
-  walking its rounds: each round it issues one sub-query per target shard,
-  then *blocks* until every shard response returns, then pays a small
-  broker-local merge cost.  Broker-observed processing time therefore
-  includes shard queueing delay.
-* A :class:`ShardHost` is a c-server FIFO queue running AcceptFraction;
+* A :class:`BrokerHost` is the Figure-1 host
+  (:class:`~repro.sim.server.SimulatedServer`) running the policy under
+  test.  A broker engine process executes a query by walking its rounds:
+  each round it issues one sub-query per target shard, then *blocks*
+  until every shard response returns, then pays a small broker-local
+  merge cost.  Broker-observed processing time therefore includes shard
+  queueing delay.
+* A :class:`ShardHost` is the same host running AcceptFraction;
   sub-query service times are per-query-type lognormals.
 * Sub-queries rejected by a shard fail the whole query, surfacing as a
   rejection at the broker (reason ``DOWNSTREAM``) — in the paper's runs the
@@ -33,10 +34,9 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Sequence)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence)
 
-from collections import deque
 from itertools import accumulate
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
@@ -46,13 +46,13 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
 from ..core.baselines.accept_fraction import (AcceptFractionConfig,
                                               AcceptFractionPolicy)
 from ..core.context import HostContext
-from ..core.policy import AdmissionPolicy, QueueView
-from ..core.types import AdmissionResult, Query, RejectReason
+from ..core.policy import AdmissionPolicy
+from ..core.types import Query
 from ..exceptions import ConfigurationError
-from ..sim.report import SampleStore, TypeStats
+from ..sim.driver import warmup_length
+from ..sim.report import ReportRows, SampleStore, TypeStats
+from ..sim.server import PolicyFactory, SimulatedServer
 from ..sim.simulator import Simulator
-
-PolicyFactory = Callable[[HostContext], AdmissionPolicy]
 
 #: Sentinel fan-out: the sub-query batch goes to every shard.
 FANOUT_ALL = "all"
@@ -290,94 +290,7 @@ class _SubQuery:
             execution.broker._merge(execution)
 
 
-class _HostCore:
-    """The Figure-1 host brokers and shards share: admission in front of a
-    FIFO queue, engine processes behind it, and the fault hooks at both."""
-
-    policy: AdmissionPolicy
-
-    def __init__(self, sim: Simulator, config: ClusterConfig, host: str,
-                 processes: int, telemetry: Optional["Telemetry"],
-                 fault_injector: Optional["FaultInjector"]) -> None:
-        self._sim = sim
-        self._clock = sim.clock
-        self._host = host
-        self._processes = processes
-        self._idle = processes
-        self._queue_cap = config.queue_cap
-        self._telemetry = telemetry
-        self._faults = fault_injector
-        self._stall_wakeup_at: Optional[float] = None
-        self._queue: Deque[Query] = deque()
-        self.queue_view = QueueView()
-        self.ctx = HostContext(clock=sim.clock, queue=self.queue_view,
-                               parallelism=processes)
-
-    def _admit(self, query: Query, now: float) -> bool:
-        """Fault override, queue cap, policy, telemetry: True when
-        ``query`` was admitted, queued and offered to an idle engine."""
-        policy = self.policy
-        queue = self._queue
-        result: Optional[AdmissionResult] = None
-        if self._faults is not None:
-            # A blacked-out/crashed/lossy host refuses before its policy
-            # runs (the verdict is always a FAULT_INJECTED rejection).
-            result = self._faults.admission_override(query, now, self._host)
-        if result is None:
-            if len(queue) >= self._queue_cap:
-                result = AdmissionResult.reject(RejectReason.QUEUE_FULL)
-                policy.stats.record(query.qtype, result)
-            else:
-                result = policy.decide(query)
-        if self._telemetry is not None:
-            self._telemetry.on_decision(query, result, now=now,
-                                        queue_length=len(queue),
-                                        policy=policy)
-        if not result.accepted:
-            return False
-        query.enqueued_at = now
-        queue.append(query)
-        self.queue_view.on_enqueue(query.qtype)
-        policy.on_enqueued(query)
-        if self._idle:
-            self._dispatch()
-        return True
-
-    def _dispatch(self) -> None:
-        queue = self._queue
-        now = self._clock._now
-        while self._idle > 0 and queue:
-            if self._faults is not None:
-                stall_end = self._faults.stalled_until(now, self._host)
-                if stall_end is not None:
-                    # Engines frozen: defer dispatch until the stall window
-                    # closes (one wake-up per window end, not per arrival).
-                    if self._stall_wakeup_at != stall_end:
-                        self._stall_wakeup_at = stall_end
-                        self._faults.note_stall(now, self._host)
-                        self._sim.schedule_at(stall_end,
-                                              self._resume_after_stall)
-                    return
-            query = queue.popleft()
-            query.dequeued_at = now
-            self.queue_view.on_dequeue(query.qtype)
-            self.policy.on_dequeued(
-                query, now - query.enqueued_at)  # type: ignore[operator]
-            if self._telemetry is not None:
-                self._telemetry.on_dequeue(query, now=now)
-            self._idle -= 1
-            self._start(query, now)
-
-    def _resume_after_stall(self) -> None:
-        self._stall_wakeup_at = None
-        self._dispatch()
-
-    def _start(self, query: Query, now: float) -> None:
-        """Run a dequeued ``query`` on an engine process (per host type)."""
-        raise NotImplementedError
-
-
-class ShardHost(_HostCore):
+class ShardHost(SimulatedServer):
     """One shard: c-server FIFO queue under AcceptFraction (§5.4 setup).
 
     A sub-query's :class:`Query` carries its sampled service demand in
@@ -388,27 +301,29 @@ class ShardHost(_HostCore):
                  index: int, rng: random.Random,
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None) -> None:
-        super().__init__(sim, config, f"shard-{index}",
-                         config.shard_processes, telemetry, fault_injector)
-        self.index = index
-        self._gamma = config.shard_slowdown_gamma
-        self._power = config.shard_slowdown_power
-        if config.shard_policy_factory is not None:
-            self.policy = config.shard_policy_factory(self.ctx)
-        else:
-            self.policy = AcceptFractionPolicy(
-                self.ctx,
-                AcceptFractionConfig(
+        def accept_fraction(ctx: HostContext) -> AdmissionPolicy:
+            return AcceptFractionPolicy(
+                ctx, AcceptFractionConfig(
                     max_utilization=config.shard_max_utilization,
                     processing_units=config.shard_processes),
                 rng=random.Random(rng.randrange(2 ** 32)))
+
+        super().__init__(sim, config.shard_processes,
+                         config.shard_policy_factory or accept_fraction,
+                         telemetry=telemetry, fault_injector=fault_injector,
+                         host_label=f"shard-{index}")
+        self._queue_cap = config.queue_cap
+        self.index = index
+        self._gamma = config.shard_slowdown_gamma
+        self._power = config.shard_slowdown_power
         self.rejected_subqueries = 0
         self.completed_subqueries = 0
         self.errored_subqueries = 0
 
-    def offer(self, parent: Query, service_time: float,
-              callback: Callable[[bool], None],
-              parent_span: Optional[Any] = None) -> bool:
+    def offer(  # type: ignore[override]
+            self, parent: Query, service_time: float,
+            callback: Callable[[bool], None],
+            parent_span: Optional[Any] = None) -> bool:
         """Submit one sub-query; ``callback(ok)`` fires exactly once, with
         its outcome.
 
@@ -423,7 +338,7 @@ class ShardHost(_HostCore):
         subquery.service_time = service_time
         if parent_span is not None and self._telemetry is not None:
             self._telemetry.span_adopt(subquery, parent_span)
-        if self._admit(subquery, now):
+        if self._admit(subquery, self._decide(subquery, now), now):
             return True
         self.rejected_subqueries += 1
         callback(False)
@@ -431,47 +346,23 @@ class ShardHost(_HostCore):
 
     def _start(self, subquery: Query, now: float) -> None:
         # Load-dependent service inflation at dispatch (ClusterConfig).
-        busy = (self._processes - self._idle) / self._processes
-        service = subquery.service_time * (  # type: ignore[operator]
+        busy = (self.parallelism - self._idle) / self.parallelism
+        subquery.service_time *= (  # type: ignore[operator]
             1.0 + self._gamma * busy ** self._power)
-        if self._faults is not None:
-            service = self._faults.shape_service(service, subquery, now,
-                                                 self._host)
-            if self._faults.should_error(subquery, now, self._host):
-                self._sim._schedule_call(now + service, self._complete_error,
-                                         subquery)
-                return
-        # Handle-free scheduling: completions are never cancelled.
-        self._sim._schedule_call(now + service, self._complete, subquery)
+        SimulatedServer._start(self, subquery, now)
 
-    def _complete_error(self, subquery: Query) -> None:
-        """Completion of a sub-query an injected engine fault poisoned."""
-        self._complete(subquery, True)
-
-    def _complete(self, subquery: Query, errored: bool = False) -> None:
-        now = self._clock._now
-        subquery.completed_at = now
-        dequeued = subquery.dequeued_at
-        self.policy.on_completed(
-            subquery, dequeued - subquery.enqueued_at,  # type: ignore[operator]
-            now - dequeued)  # type: ignore[operator]
-        if self._telemetry is not None:
-            if errored:
-                self._telemetry.span_mark_fault(subquery, "engine_error", now)
-            self._telemetry.on_completion(subquery, now=now, errored=errored)
-        if errored:
-            # Injected engine fault: work was done, response is an error —
-            # the broker treats it like a refusal (retry/degrade path).
-            self.errored_subqueries += 1
-        else:
+    def _finished(self, subquery: Query, errored: bool) -> None:
+        # An errored sub-query, or one whose deadline passed in this
+        # queue, reaches the broker like a refusal (its retry/degrade path).
+        ok = not errored and subquery.completed_at is not None
+        if ok:
             self.completed_subqueries += 1
-        self._idle += 1
-        subquery.payload(not errored)
-        if self._queue:
-            self._dispatch()
+        else:
+            self.errored_subqueries += 1
+        subquery.payload(ok)
 
 
-class BrokerHost(_HostCore):
+class BrokerHost(SimulatedServer):
     """One broker: admission (policy under test) + round-walking engines."""
 
     def __init__(self, sim: Simulator, config: ClusterConfig, index: int,
@@ -480,8 +371,10 @@ class BrokerHost(_HostCore):
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None,
                  resilience: Optional[ResilienceConfig] = None) -> None:
-        super().__init__(sim, config, f"broker-{index}",
-                         config.broker_processes, telemetry, fault_injector)
+        super().__init__(sim, config.broker_processes, policy_factory,
+                         telemetry=telemetry, fault_injector=fault_injector,
+                         host_label=f"broker-{index}")
+        self._queue_cap = config.queue_cap
         self.index = index
         self._shards = shards
         self._metrics = metrics
@@ -492,19 +385,23 @@ class BrokerHost(_HostCore):
         self._power = config.broker_slowdown_power
         self._timeout = (resilience.subquery_timeout
                          if resilience is not None else None)
-        self.policy = policy_factory(self.ctx)
 
-    def offer(self, query: Query) -> None:
+    def offer(self, query: Query) -> None:  # type: ignore[override]
         """Present an arriving query to this broker's admission policy."""
         now = self._clock._now
         query.arrival_time = now
         query.window = self._metrics.window
-        if not self._admit(query, now):
+        if not self._admit(query, self._decide(query, now), now):
             self._metrics.record_rejection(query, at_broker=True)
 
     def _start(self, query: Query, now: float) -> None:
         self._start_round(_QueryExecution(query, self._cost_for(query.qtype),
                                           self))
+
+    def _finished(self, query: Query, errored: bool) -> None:
+        # Reached only for a query whose deadline passed in this queue
+        # (§5.1): a walked query ends in _finish.
+        self._metrics.record_expiration(query)
 
     # -- round protocol -----------------------------------------------------
     def _alternate_shard(self, avoid_index: int) -> ShardHost:
@@ -637,7 +534,7 @@ class BrokerHost(_HostCore):
         """Every sub-query of the round settled: pay the merge cost, inflated
         by how busy this broker is (CPU interference between its engines)."""
         now = self._clock._now
-        busy = (self._processes - self._idle) / self._processes
+        busy = (self.parallelism - self._idle) / self.parallelism
         overhead = execution.cost.broker_overhead * (
             1.0 + self._gamma * busy ** self._power)
         if self._faults is not None:
@@ -743,6 +640,11 @@ class ClusterMetrics(SampleStore):
         bucket[query.qtype] = bucket.get(query.qtype, 0) + 1
         self._samples(query.qtype).rejected += 1
 
+    def record_expiration(self, query: Query) -> None:
+        """A query's deadline passed while it waited in a broker queue."""
+        if query.window == self.window:
+            self._samples(query.qtype).expired += 1
+
     def reset(self, now: float = 0.0) -> None:
         """Open the next measurement window at ``now`` (end of warm-up)."""
         self._next_window()
@@ -760,7 +662,7 @@ class ClusterMetrics(SampleStore):
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(ReportRows):
     """Outcome of one cluster run, shaped like a single-host report."""
 
     policy_name: str
@@ -779,20 +681,6 @@ class ClusterReport:
     #: Per-type (plus ``"ALL"``) fraction of completed responses within
     #: the run's ``attainment_threshold``; empty when none was given.
     attainment: Dict[str, float] = field(default_factory=dict)
-
-    def stats_for(self, qtype: Optional[str] = None) -> TypeStats:
-        if qtype is None:
-            return self.overall
-        return self.per_type.get(qtype, TypeStats(qtype=qtype))
-
-    def rejection_pct(self, qtype: Optional[str] = None) -> float:
-        return self.stats_for(qtype).rejection_pct
-
-    def response_percentile(self, qtype: Optional[str], p: float) -> float:
-        return self.stats_for(qtype).response.get(p, 0.0)
-
-    def processing_percentile(self, qtype: Optional[str], p: float) -> float:
-        return self.stats_for(qtype).processing.get(p, 0.0)
 
 
 class LiquidClusterSim:
@@ -835,10 +723,9 @@ class LiquidClusterSim:
 
     def reset_measurement(self, now: float = 0.0) -> None:
         self.metrics.reset(now)
-        for broker in self.brokers:
-            broker.policy.reset_stats()
+        for host in (*self.brokers, *self.shards):
+            host.policy.reset_stats()
         for shard in self.shards:
-            shard.policy.reset_stats()
             shard.rejected_subqueries = 0
             shard.completed_subqueries = 0
             shard.errored_subqueries = 0
@@ -866,12 +753,7 @@ def run_cluster_simulation(config: ClusterConfig,
     hedging / graceful degradation; ``attainment_threshold`` additionally
     reports the fraction of completed responses within that many seconds.
     """
-    if num_queries < 1:
-        raise ConfigurationError("num_queries must be >= 1")
-    if not 0 < rate_qps < math.inf:     # NaN fails it too
-        raise ConfigurationError("rate_qps must be finite and > 0")
-    if warmup_queries is None:
-        warmup_queries = max(num_queries // 5, int(2.0 * rate_qps), 1000)
+    warmup_queries = warmup_length(num_queries, rate_qps, warmup_queries)
     total = warmup_queries + num_queries
 
     sim = Simulator()

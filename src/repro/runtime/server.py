@@ -115,11 +115,6 @@ class AdmissionServer:
         worker thread.  Exceptions propagate into the query's future.
     workers:
         ``P`` — number of engine worker threads.
-    enforce_deadlines:
-        Drop admitted queries whose absolute ``deadline`` passed while
-        they queued; their future fails with
-        :class:`~repro.exceptions.DeadlineExceededError` without spending
-        handler time (LIquid's expiration enforcement, §5.1).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` to record into (share
         one across servers to aggregate, attach a tracer to capture
@@ -152,11 +147,14 @@ class AdmissionServer:
     ``submit`` raises :class:`~repro.exceptions.QueryRejectedError`
     immediately when the policy rejects — the "early rejection" the paper's
     §2 motivates: the caller learns at once and can fail over, and the
-    query never occupies the queue.
+    query never occupies the queue.  An admitted query whose ``deadline``
+    passes while it queues is dropped at dequeue: its future fails with
+    :class:`~repro.exceptions.DeadlineExceededError` without spending
+    handler time (LIquid's expiration enforcement, §5.1).
     """
 
     def __init__(self, policy_factory: PolicyFactory, handler: Handler,
-                 workers: int = 8, enforce_deadlines: bool = True,
+                 workers: int = 8,
                  telemetry: Optional[Telemetry] = None,
                  fault_injector: Optional[FaultInjector] = None,
                  host_label: str = "runtime") -> None:
@@ -169,7 +167,6 @@ class AdmissionServer:
         self.policy = policy_factory(self.ctx)
         self._handler = handler
         self._workers_count = workers
-        self._enforce_deadlines = enforce_deadlines
         #: Metric-point sink; fail-open and expiration counters live in its
         #: registry (scrapable), replacing the former ad-hoc int attributes.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -488,8 +485,7 @@ class AdmissionServer:
                     self._faults.note_stall(now, self._host)
                     self._clock.sleep(stall_end - now)
                     now = self._clock.now()
-            if (self._enforce_deadlines and query.deadline is not None
-                    and now > query.deadline):
+            if query.deadline is not None and now > query.deadline:
                 with self._lock:
                     self.queue_view.on_dequeue(query.qtype)
                 self.telemetry.on_expired(query, now=now)
@@ -515,26 +511,26 @@ class AdmissionServer:
                                              errored=True)
                 future.set_exception(exc)
                 continue
+            errored = False
             if self._faults is not None:
                 self._apply_service_faults(query, handler_started)
-                if self._faults.should_error(query, self._clock.now(),
-                                             self._host):
-                    query.completed_at = self._clock.now()
-                    self.telemetry.span_mark_fault(
-                        query, "engine_error", query.completed_at)
-                    self.telemetry.on_completion(query,
-                                                 now=query.completed_at,
-                                                 errored=True)
-                    future.set_exception(InjectedFaultError(
-                        f"query {query.query_id} poisoned by fault plan "
-                        f"{self._faults.plan.name!r}"))
-                    continue
-            query.completed_at = self._clock.now()
+                errored = self._faults.should_error(query, self._clock.now(),
+                                                    self._host)
+            query.completed_at = now = self._clock.now()
             with self._lock:
                 try:
+                    # An injected error still reports the work it cost:
+                    # the engine did the work, then errored the query.
                     self.policy.on_completed(query, query.wait_time or 0.0,
                                              query.processing_time or 0.0)
                 except Exception:
                     self.telemetry.on_policy_error()
-            self.telemetry.on_completion(query, now=query.completed_at)
-            future.set_result(outcome)
+            if errored:
+                self.telemetry.span_mark_fault(query, "engine_error", now)
+            self.telemetry.on_completion(query, now=now, errored=errored)
+            if errored:
+                future.set_exception(InjectedFaultError(
+                    f"query {query.query_id} poisoned by fault plan "
+                    f"{self._faults.plan.name!r}"))  # type: ignore[union-attr]
+            else:
+                future.set_result(outcome)

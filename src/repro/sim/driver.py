@@ -12,6 +12,7 @@ policy under test, so policy comparisons see the same incoming traffic.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.telemetry
@@ -28,6 +29,21 @@ from .workload import ArrivalSchedule, WorkloadMix
 #: Queries pre-generated per workload chunk (see
 #: :meth:`~repro.sim.workload.ArrivalSchedule.iter_chunks`).
 _CHUNK_SIZE = 1024
+
+
+def warmup_length(num_queries: int, rate_qps: float,
+                  warmup_queries: Optional[int]) -> int:
+    """Queries both drivers offer before measurement: by default the
+    larger of 20% of ``num_queries``, two seconds of traffic and 1000, so
+    histograms publish and the cold-start backlog drains at every rate the
+    paper sweeps.  Refuses a run with nothing to measure or no rate."""
+    if num_queries < 1:
+        raise ConfigurationError("num_queries must be >= 1")
+    if not 0 < rate_qps < math.inf:     # NaN fails it too
+        raise ConfigurationError("rate_qps must be finite and > 0")
+    if warmup_queries is None:
+        return max(num_queries // 5, int(2.0 * rate_qps), 1000)
+    return warmup_queries
 
 
 def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
@@ -56,10 +72,8 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
     parallelism:
         ``P``, the number of query engine processes (paper: 100).
     warmup_queries:
-        Queries offered before measurement starts; defaults to the larger
-        of 20% of ``num_queries`` and two seconds of traffic, so histograms
-        publish and the cold-start backlog drains before measurement at
-        every rate the paper sweeps.
+        Queries offered before measurement starts; see
+        :func:`warmup_length` for the default.
     seed:
         Workload RNG seed.  Policies with internal randomness derive their
         own seeds; pass a seeded policy factory for full determinism.
@@ -87,12 +101,9 @@ def run_simulation(mix: WorkloadMix, policy_factory: PolicyFactory,
         (one ``decide_many`` call), a lone arrival through
         :meth:`~repro.sim.server.SimulatedServer.offer`.
     """
-    if num_queries < 1:
-        raise ConfigurationError("num_queries must be >= 1")
-    # Refuses a rate or a burst it cannot generate.
+    warmup_queries = warmup_length(num_queries, rate_qps, warmup_queries)
+    # Refuses a burst it cannot generate.
     schedule = ArrivalSchedule(mix, rate_qps, seed=seed, burst=burst)
-    if warmup_queries is None:
-        warmup_queries = max(num_queries // 5, int(2.0 * rate_qps), 1000)
     total = warmup_queries + num_queries
 
     sim = Simulator()

@@ -284,22 +284,12 @@ class TypeStats:
         return 100.0 * self.rejected / received if received else 0.0
 
 
-@dataclass
-class SimulationReport:
-    """Everything a table or figure needs from one simulation run."""
+class ReportRows:
+    """Row accessors of a run's report, single host or cluster: both hold
+    per-type statistics and the ALL row."""
 
-    policy_name: str
-    rate_qps: float
-    parallelism: int
-    duration: float
-    utilization: float
     per_type: Dict[str, TypeStats]
     overall: TypeStats
-    offered: int = 0
-    seed: Optional[int] = None
-    #: Per-type (plus ``"ALL"``) fraction of completions within the SLO
-    #: threshold; filled when ``run_simulation`` gets one.
-    attainment: Dict[str, float] = field(default_factory=dict)
 
     def stats_for(self, qtype: Optional[str] = None) -> TypeStats:
         """Stats for one type, or the overall aggregate when ``None``."""
@@ -318,6 +308,24 @@ class SimulationReport:
     def processing_percentile(self, qtype: Optional[str], p: float) -> float:
         """Measured processing-time percentile in seconds (0.0 if none)."""
         return self.stats_for(qtype).processing.get(p, 0.0)
+
+
+@dataclass
+class SimulationReport(ReportRows):
+    """Everything a table or figure needs from one simulation run."""
+
+    policy_name: str
+    rate_qps: float
+    parallelism: int
+    duration: float
+    utilization: float
+    per_type: Dict[str, TypeStats]
+    overall: TypeStats
+    offered: int = 0
+    seed: Optional[int] = None
+    #: Per-type (plus ``"ALL"``) fraction of completions within the SLO
+    #: threshold; filled when ``run_simulation`` gets one.
+    attainment: Dict[str, float] = field(default_factory=dict)
 
     def __str__(self) -> str:
         lines = [

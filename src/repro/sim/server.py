@@ -6,16 +6,16 @@ the idle processes on a first-come, first-serve basis" (§5.3).
 
 The host owns the queue (exposing a live :class:`~repro.core.policy.QueueView`
 to the policy), invokes the policy at arrival, and fires the Point 1/2/3
-metric hooks the framework promises.
+metric hooks the framework promises.  The cluster model's brokers and
+shards (:mod:`repro.liquid.cluster_sim`) are this host too: they subclass
+it and replace only what a LIquid host does differently.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import math
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Sequence
 
 if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
     from ..faults import FaultInjector
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # avoid a sim <-> telemetry import cycle at runtime
 
 from ..core.context import HostContext
 from ..core.policy import AdmissionPolicy, QueueView
-from ..core.types import AdmissionResult, Query
+from ..core.types import AdmissionResult, Query, RejectReason
 from ..exceptions import ConfigurationError
 from .report import ServerMetrics
 from .simulator import Simulator
@@ -31,11 +31,15 @@ from .workload import service_time_of
 
 PolicyFactory = Callable[[HostContext], AdmissionPolicy]
 DecisionHook = Callable[[float, Query, AdmissionResult], None]
-PriorityFn = Callable[[Query], float]
 
 
 class SimulatedServer:
-    """One serving host inside a :class:`~repro.sim.simulator.Simulator`.
+    """One Figure-1 host inside a :class:`~repro.sim.simulator.Simulator`.
+
+    An arrival meets the fault override, the queue cap and the policy, in
+    that order.  A query whose deadline passes while it queues is dropped
+    without engine work; one that completes late counts its engine time
+    as wasted (LIquid's expiration enforcement, §5.1).
 
     Parameters
     ----------
@@ -45,24 +49,9 @@ class SimulatedServer:
         ``P`` — number of query engine processes.
     policy_factory:
         Builds the admission policy from the host's context; invoked once.
-    service_time_fn:
-        Maps an admitted query to its processing duration in seconds.
-        Defaults to reading the demand pre-sampled by the workload.
     on_decision:
         Optional hook called after every admission decision — the
         per-second traces behind the paper's Figure 3 are collected here.
-    enforce_deadlines:
-        Drop admitted queries whose deadline passed while they queued
-        (LIquid's expiration enforcement, §5.1), and account engine time
-        spent on responses that completed after their deadline as wasted
-        work.  Queries without a deadline are unaffected.
-    priority_fn:
-        Optional scheduling priority (lower runs first; FIFO among equals).
-        The paper's systems serve queries in FIFO order and list priority
-        disciplines as future work (§7); this knob implements that
-        extension.  Note Bouncer's Eq. 2 wait estimate assumes FIFO, so
-        under a priority discipline its estimates are approximate for
-        low-priority types.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink; when supplied,
         the host records counters and (if a tracer is attached) per-query
@@ -81,12 +70,13 @@ class SimulatedServer:
         This host's name for fault targeting and telemetry attribution.
     """
 
+    #: Queue length at which arrivals are refused (``QUEUE_FULL``) before
+    #: the policy runs; ``ClusterConfig.queue_cap`` on the cluster's hosts.
+    _queue_cap: float = math.inf
+
     def __init__(self, sim: Simulator, parallelism: int,
                  policy_factory: PolicyFactory,
-                 service_time_fn: Callable[[Query], float] = service_time_of,
                  on_decision: Optional[DecisionHook] = None,
-                 enforce_deadlines: bool = True,
-                 priority_fn: Optional[PriorityFn] = None,
                  telemetry: Optional["Telemetry"] = None,
                  fault_injector: Optional["FaultInjector"] = None,
                  host_label: str = "sim") -> None:
@@ -94,15 +84,13 @@ class SimulatedServer:
             raise ConfigurationError(
                 f"parallelism must be >= 1, got {parallelism}")
         self._sim = sim
+        self._clock = sim.clock
         self.parallelism = parallelism
         self.queue_view = QueueView()
         self.ctx = HostContext(clock=sim.clock, queue=self.queue_view,
                                parallelism=parallelism)
         self.policy = policy_factory(self.ctx)
-        self._service_time_fn = service_time_fn
         self._on_decision = on_decision
-        self._enforce_deadlines = enforce_deadlines
-        self._priority_fn = priority_fn
         self._telemetry = telemetry
         self._faults = fault_injector
         self._host = host_label
@@ -114,22 +102,13 @@ class SimulatedServer:
         # guards against piling up duplicate wake-up events.
         self._stall_wakeup_at: Optional[float] = None
         self._queue: Deque[Query] = deque()
-        self._heap: List[Tuple[float, int, Query]] = []
-        self._heap_seq = itertools.count()
         self._idle = parallelism
         self.metrics = ServerMetrics(start_time=sim.now)
 
     @property
     def queue_length(self) -> int:
         """Queries waiting (not in service)."""
-        if self._priority_fn is not None:
-            return len(self._heap)
         return len(self._queue)
-
-    @property
-    def idle_processes(self) -> int:
-        """Engine processes currently free."""
-        return self._idle
 
     @property
     def in_flight(self) -> int:
@@ -143,18 +122,10 @@ class SimulatedServer:
         the spot (the early rejection the paper's §2 motivates — they
         "never make it into the data system's queue").
         """
-        now = self._sim.now
+        now = self._clock._now
         query.arrival_time = now
         self.metrics.note_arrival(query, now)
-        if self._faults is not None:
-            # A blacked-out or lossy host refuses before the policy runs —
-            # the fault sits in front of admission, like a dead NIC would.
-            override = self._faults.admission_override(query, now,
-                                                       self._host)
-            if override is not None:
-                self._apply_decision(query, override, now)
-                return override
-        result = self.policy.decide(query)
+        result = self._decide(query, now)
         self._apply_decision(query, result, now)
         return result
 
@@ -173,13 +144,14 @@ class SimulatedServer:
         inert (all its hooks are no-ops that consume no randomness), so it
         does not force the degradation; neither does an attached tracer —
         telemetry fires per decision inside :meth:`_apply_decision` either
-        way, so tracing and batching compose.
+        way, so tracing and batching compose.  The queue cap never binds
+        here: this host's queue is unbounded.
         """
         if not queries:
             return []
         if self._faults is not None and self._faults.armed:
             return [self.offer(query) for query in queries]
-        now = self._sim.now
+        now = self._clock._now
         note_arrival = self.metrics.note_arrival
         for query in queries:
             query.arrival_time = now
@@ -193,34 +165,18 @@ class SimulatedServer:
 
     def _apply_decision(self, query: Query, result: AdmissionResult,
                         now: float) -> None:
-        """Post-decision side effects, shared by the scalar and batch paths.
-
-        Hooks and telemetry fire for every decision; an accepted query is
-        stamped, enqueued, and offered to an idle engine immediately.
+        """This host's side of a decision, shared by the scalar and batch
+        paths: the decision hook and the measurement, then :meth:`_admit`.
         """
         if self._on_decision is not None:
             self._on_decision(now, query, result)
-        if self._telemetry is not None:
-            self._telemetry.on_decision(query, result, now=now,
-                                        queue_length=self.queue_length,
-                                        policy=self.policy)
-        if not result.accepted:
-            self.metrics.record_rejection(query, result)
-            return
-        query.enqueued_at = now
-        # Sample the service demand once and stamp it on the query; dispatch
-        # reuses the stamp instead of re-deriving it (one fn call saved per
-        # admitted query on the hot path).
-        query.service_time = self._service_time_fn(query)
-        self.metrics.record_admission(query.service_time)
-        if self._priority_fn is not None:
-            heapq.heappush(self._heap, (self._priority_fn(query),
-                                        next(self._heap_seq), query))
+        if result.accepted:
+            # Stamp the service demand once; dispatch reads the stamp.
+            query.service_time = service_time_of(query)
+            self.metrics.record_admission(query.service_time)
         else:
-            self._queue.append(query)
-        self.queue_view.on_enqueue(query.qtype)
-        self.policy.on_enqueued(query)
-        self._dispatch()
+            self.metrics.record_rejection(query, result)
+        self._admit(query, result, now)
 
     def reset_measurement(self) -> None:
         """End the warm-up phase: zero metrics and policy tallies.
@@ -231,96 +187,121 @@ class SimulatedServer:
         self.metrics.reset(self._sim.now)
         self.policy.reset_stats()
 
-    # -- engine processes -------------------------------------------------
-    def _pop_next(self) -> Optional[Query]:
-        if self._priority_fn is not None:
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)[2]
-        if not self._queue:
-            return None
-        return self._queue.popleft()
+    # -- the Figure-1 path, shared with the cluster's brokers and shards ----
+    def _decide(self, query: Query, now: float) -> AdmissionResult:
+        """The verdict on an arrival: a blacked-out or lossy host refuses
+        before its policy runs, like a dead NIC would; so does a full
+        queue; otherwise the policy decides."""
+        if self._faults is not None:
+            override = self._faults.admission_override(query, now,
+                                                       self._host)
+            if override is not None:
+                return override
+        if len(self._queue) >= self._queue_cap:
+            result = AdmissionResult.reject(RejectReason.QUEUE_FULL)
+            self.policy.stats.record(query.qtype, result)
+            return result
+        return self.policy.decide(query)
+
+    def _admit(self, query: Query, result: AdmissionResult,
+               now: float) -> bool:
+        """Point-1 telemetry, then an accepted ``query`` is stamped,
+        queued and offered to an idle engine; True when it was."""
+        if self._telemetry is not None:
+            self._telemetry.on_decision(query, result, now=now,
+                                        queue_length=len(self._queue),
+                                        policy=self.policy)
+        if not result.accepted:
+            return False
+        query.enqueued_at = now
+        self._queue.append(query)
+        self.queue_view.on_enqueue(query.qtype)
+        self.policy.on_enqueued(query)
+        if self._idle:
+            self._dispatch()
+        return True
 
     def _dispatch(self) -> None:
-        while self._idle > 0:
-            if self._faults is not None and self.queue_length > 0:
-                stall_end = self._faults.stalled_until(self._sim.now,
-                                                       self._host)
+        queue = self._queue
+        now = self._clock._now
+        while self._idle > 0 and queue:
+            if self._faults is not None:
+                stall_end = self._faults.stalled_until(now, self._host)
                 if stall_end is not None:
                     # Engines frozen: defer dispatch until the stall window
                     # closes (one wake-up per window end, not per arrival).
                     if self._stall_wakeup_at != stall_end:
                         self._stall_wakeup_at = stall_end
-                        self._faults.note_stall(self._sim.now, self._host)
+                        self._faults.note_stall(now, self._host)
                         self._sim.schedule_at(stall_end,
                                               self._resume_after_stall)
                     return
-            query = self._pop_next()
-            if query is None:
-                return
-            now = self._sim.now
-            if (self._enforce_deadlines and query.deadline is not None
-                    and now > query.deadline):
+            query = queue.popleft()
+            self.queue_view.on_dequeue(query.qtype)
+            if query.deadline is not None and now > query.deadline:
                 # Expired while queued: drop without engine work (§5.1).
-                self.queue_view.on_dequeue(query.qtype)
-                self.metrics.record_expiration(query, wasted_work=0.0)
                 if self._telemetry is not None:
                     self._telemetry.on_expired(query, now=now)
+                self._finished(query, False)
                 continue
             query.dequeued_at = now
-            self.queue_view.on_dequeue(query.qtype)
-            wait = query.wait_time or 0.0
-            self.policy.on_dequeued(query, wait)
+            self.policy.on_dequeued(
+                query, now - query.enqueued_at)  # type: ignore[operator]
             if self._telemetry is not None:
                 self._telemetry.on_dequeue(query, now=now)
             self._idle -= 1
-            service = (query.service_time
-                       if query.service_time is not None
-                       else self._service_time_fn(query))
-            errored = False
-            if self._faults is not None:
-                service = self._faults.shape_service(service, query, now,
-                                                     self._host)
-                errored = self._faults.should_error(query, now, self._host)
-            if errored:
-                self._sim.schedule_after(
-                    service, lambda q=query: self._complete(q, True))
-            else:
-                # Handle-free scheduling: completions are never cancelled,
-                # so skip the ScheduledEvent allocation and the closure.
-                self._sim._schedule_call(now + service, self._complete_ok,
-                                         query)
+            self._start(query, now)
 
     def _resume_after_stall(self) -> None:
         self._stall_wakeup_at = None
         self._dispatch()
 
-    def _complete_ok(self, query: Query) -> None:
-        """Non-errored completion callback for the handle-free hot path."""
-        self._complete(query, False)
+    def _start(self, query: Query, now: float) -> None:
+        """Run a dequeued ``query`` on an engine process for its service
+        demand, reshaped by active slowdown/spike windows; an active error
+        window poisons it."""
+        service: float = query.service_time  # type: ignore[assignment]
+        if self._faults is not None:
+            service = self._faults.shape_service(service, query, now,
+                                                 self._host)
+            if self._faults.should_error(query, now, self._host):
+                self._sim._schedule_call(now + service, self._complete_error,
+                                         query)
+                return
+        # Handle-free scheduling: completions are never cancelled.
+        self._sim._schedule_call(now + service, self._complete, query)
+
+    def _complete_error(self, query: Query) -> None:
+        """Completion of a query an injected engine fault poisoned."""
+        self._complete(query, True)
 
     def _complete(self, query: Query, errored: bool = False) -> None:
-        now = self._sim.now
+        now = self._clock._now
         query.completed_at = now
-        wait = query.wait_time or 0.0
-        processing = query.processing_time or 0.0
-        if errored:
-            # Injected engine fault: the work was done but the client gets
-            # an error — a terminal verdict, accounted as such.
-            self.policy.on_completed(query, wait, processing)
-            self.metrics.record_error(query)
-        elif (self._enforce_deadlines and query.deadline is not None
-                and now > query.deadline):
-            # Completed after expiration: the engine time was wasted on a
-            # response the client gave up on (the paper's §2 scenario).
-            self.policy.on_completed(query, wait, processing)
-            self.metrics.record_expiration(query, wasted_work=processing)
-        else:
-            self.policy.on_completed(query, wait, processing)
-            self.metrics.record_completion(query)
+        dequeued = query.dequeued_at
+        # An errored query was worked on all the same: the engine did the
+        # work, then errored it, so the policy hears of it like any other.
+        self.policy.on_completed(
+            query, dequeued - query.enqueued_at,  # type: ignore[operator]
+            now - dequeued)  # type: ignore[operator]
         if self._telemetry is not None:
             if errored:
                 self._telemetry.span_mark_fault(query, "engine_error", now)
             self._telemetry.on_completion(query, now=now, errored=errored)
         self._idle += 1
-        self._dispatch()
+        self._finished(query, errored)
+        if self._queue:
+            self._dispatch()
+
+    def _finished(self, query: Query, errored: bool) -> None:
+        """Account the outcome of a query its engine finished, or of one
+        whose deadline passed while it queued."""
+        if errored:
+            self.metrics.record_error(query)
+        elif query.deadline is not None and self._clock._now > query.deadline:
+            # Expired: a late response wasted its engine time on a client
+            # that gave up (§2); a query dropped in the queue wasted none.
+            self.metrics.record_expiration(
+                query, wasted_work=query.processing_time or 0.0)
+        else:
+            self.metrics.record_completion(query)

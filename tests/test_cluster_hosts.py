@@ -81,6 +81,17 @@ class TestShardHost:
         # Both ran concurrently: both finish at t=5ms.
         assert done == [pytest.approx(0.005), pytest.approx(0.005)]
 
+    def test_subquery_expired_in_queue_answers_false(self):
+        sim, shard = make_shard(two_type_config(shard_processes=1))
+        outcomes = []
+        shard.offer(Query(qtype="one_round"), 0.010, outcomes.append)
+        shard.offer(Query(qtype="one_round", deadline=0.005), 0.010,
+                    outcomes.append)
+        sim.run()
+        assert outcomes == [True, False]
+        assert shard.errored_subqueries == 1
+        assert shard._idle == 1
+
     def test_slowdown_inflates_service(self):
         config = two_type_config(shard_slowdown_gamma=1.0,
                                  shard_slowdown_power=1.0,
@@ -146,6 +157,26 @@ class TestBrokerHost:
         # Serialized: the second query waited for the first (1.5ms each),
         # so responses are [1.5ms, 3.0ms]; the interpolated p90 is 2.85ms.
         assert stats.response[90.0] == pytest.approx(0.00285)
+
+    def test_deadline_past_in_shard_queue_fails_query(self):
+        config = two_type_config(shard_processes=1)
+        sim, broker, shards, metrics = make_broker(config)
+        # A blocker holds shard 0's one engine past the query's deadline.
+        shards[0].offer(Query(qtype="one_round"), 0.050, lambda ok: None)
+        broker.offer(Query(qtype="one_round", deadline=0.010))
+        sim.run()
+        assert metrics.shard_rejections.get("one_round") == 1
+        assert broker._idle == broker.parallelism
+
+    def test_deadline_past_in_broker_queue_expires(self):
+        config = two_type_config(broker_processes=1)
+        sim, broker, shards, metrics = make_broker(config)
+        broker.offer(Query(qtype="one_round"))  # holds the engine 1.5ms
+        broker.offer(Query(qtype="one_round", deadline=0.001))
+        sim.run()
+        stats = metrics.build_overall_stats()
+        assert (stats.completed, stats.expired, stats.rejected) == (1, 1, 0)
+        assert broker._idle == broker.parallelism
 
     def test_completion_feeds_policy_histograms(self):
         seen = []

@@ -61,17 +61,6 @@ class TestSimulatedDeadlines:
         sim.run()
         assert server.metrics.completed == 2
 
-    def test_enforcement_can_be_disabled(self):
-        sim = Simulator()
-        server = SimulatedServer(sim, 1, accept_all,
-                                 enforce_deadlines=False)
-        server.offer(Query(qtype="x", payload=0.010))
-        stale = Query(qtype="x", payload=0.010, deadline=0.001)
-        server.offer(stale)
-        sim.run()
-        assert server.metrics.completed == 2
-        assert server.metrics.expired == 0
-
     def test_expired_counts_in_received(self):
         sim = Simulator()
         server = SimulatedServer(sim, 1, accept_all)

@@ -26,6 +26,8 @@ import time
 from collections import deque
 from typing import Dict, List
 
+import pytest
+
 from repro.bench import make_maxqwt, simulation_mix
 from repro.core.types import Query
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
@@ -184,3 +186,50 @@ class TestDifferentialUnderFaults:
         # The drop fault visibly dented the accept rate on both sides.
         assert sim[0] < 0.95
         assert runtime[0] < 0.95
+
+
+class TestErrorVerdictFeedsPolicy:
+    """An injected engine error is reported to the policy on both hosts:
+    the engine did the work, then errored the query."""
+
+    @staticmethod
+    def _counting_policy(completed):
+        from repro.core import AlwaysAcceptPolicy
+
+        class Counting(AlwaysAcceptPolicy):
+            def on_completed(self, query, wait, processing):
+                completed.append(query.qtype)
+
+        return lambda ctx: Counting()
+
+    @staticmethod
+    def _always_error():
+        return FaultInjector(FaultPlan("poison", SEED, (
+            FaultSpec(kind=FaultKind.ERROR, probability=1.0),)), epoch=0.0)
+
+    def test_sim_host_reports_errored_completions(self):
+        from repro.sim import SimulatedServer, Simulator
+
+        completed = []
+        sim = Simulator()
+        server = SimulatedServer(sim, 2, self._counting_policy(completed),
+                                 fault_injector=self._always_error())
+        for _ in range(5):
+            server.offer(Query(qtype="x", payload=0.001))
+        sim.run()
+        assert server.metrics.errors == 5
+        assert completed == ["x"] * 5
+
+    def test_runtime_host_reports_errored_completions(self):
+        from repro.exceptions import InjectedFaultError
+
+        completed = []
+        server = AdmissionServer(self._counting_policy(completed),
+                                 handler=lambda q: "ok", workers=2,
+                                 fault_injector=self._always_error())
+        with server:
+            futures = [server.submit(Query(qtype="x")) for _ in range(5)]
+            for future in futures:
+                with pytest.raises(InjectedFaultError):
+                    future.result(timeout=5.0)
+        assert completed == ["x"] * 5

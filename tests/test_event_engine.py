@@ -15,7 +15,10 @@ here, with the subject:
   the seeded arrival stream, in ``tests/golden/event_engine.json``.
   Three more cluster cells (no resilience; faults; Bouncer on the shards)
   were recorded at ``781dcdd``, before the cluster model's sub-query
-  lifecycle was rebuilt.  ``python tests/test_event_engine.py`` prints
+  lifecycle was rebuilt.  A single-host fault cell and a scripted
+  deadline cell (both expiry paths) were recorded at ``df424da``, before
+  the cluster's brokers and shards were rebuilt on ``SimulatedServer``.
+  ``python tests/test_event_engine.py`` prints
   the document the current tree produces — re-record only for a change
   *meant* to alter seeded outcomes.
 """
@@ -296,9 +299,12 @@ class TestChunkedWorkloadEquivalence:
 # -- end to end ----------------------------------------------------------------
 
 def _report_fingerprint(report):
-    """Every count and every float of a report (``json`` writes a float as
-    its ``repr``, so the round trip is exact)."""
-    return json.loads(json.dumps(dataclasses.asdict(report)))
+    """Every count and every float of a report, or of a cell's own dict
+    (``json`` writes a float as its ``repr``, so the round trip is
+    exact)."""
+    if dataclasses.is_dataclass(report):
+        report = dataclasses.asdict(report)
+    return json.loads(json.dumps(report))
 
 
 def _fig06_cell(policy_factory=None):
@@ -403,10 +409,68 @@ def _cluster_shard_bouncer_cell():
         attainment_threshold=0.05)
 
 
+def _fig06_faults_cell():
+    """The Fig. 6 cell on a single host under an error window, an engine
+    stall, a slowdown, a latency spike, a blackout and queue drops; the
+    injection log is pinned with the report."""
+    from repro.bench.experiments import make_bouncer, simulation_mix
+    from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+    from repro.sim.driver import run_simulation
+
+    plan = FaultPlan("golden-sim", 5, (
+        FaultSpec(FaultKind.ERROR, start=0.0, duration=0.2,
+                  probability=0.1),
+        FaultSpec(FaultKind.ENGINE_STALL, start=0.1, duration=0.02),
+        FaultSpec(FaultKind.SLOWDOWN, start=0.2, duration=0.1,
+                  magnitude=1.5),
+        FaultSpec(FaultKind.LATENCY_SPIKE, start=0.3, duration=0.05,
+                  magnitude=0.002, probability=0.5),
+        FaultSpec(FaultKind.BLACKOUT, start=0.4, duration=0.02),
+        FaultSpec(FaultKind.QUEUE_DROP, start=0.5, duration=0.05,
+                  probability=0.2),
+    ))
+    injector = FaultInjector(plan)
+    report = run_simulation(
+        simulation_mix(), make_bouncer(), rate_qps=4000.0,
+        num_queries=2500, parallelism=100, warmup_queries=1000, seed=11,
+        fault_injector=injector, attainment_threshold=0.05)
+    return {"report": dataclasses.asdict(report),
+            "injections": hashlib.sha256(
+                injector.log_json().encode()).hexdigest()}
+
+
+def _deadlines_cell():
+    """A scripted ``SimulatedServer`` at 1.3x load whose queries carry
+    deadlines: some expire in the queue, some complete late."""
+    from repro.bench.experiments import make_bouncer, simulation_mix
+    from repro.sim.server import SimulatedServer
+
+    mix = simulation_mix()
+    sim = Simulator()
+    server = SimulatedServer(sim, 8, make_bouncer())
+    slack_rng = random.Random(3)
+    arrivals = ArrivalSchedule(mix, 1.3 * mix.full_load_qps(8), seed=5)
+    for query in itertools.islice(iter(arrivals), 4000):
+        slack = slack_rng.choice((None, 0.004, 0.012, 0.05))
+        if slack is not None:
+            query.deadline = query.arrival_time + slack
+        sim._schedule_call(query.arrival_time, server.offer, query)
+    sim.run()
+    metrics = server.metrics
+    return {"per_type": {qtype: dataclasses.asdict(stats) for qtype, stats
+                         in metrics.build_type_stats().items()},
+            "overall": dataclasses.asdict(metrics.build_overall_stats()),
+            "counts": [metrics.completed, metrics.rejected,
+                       metrics.expired, metrics.admitted],
+            "work": [metrics.busy_time, metrics.admitted_work,
+                     metrics.wasted_work]}
+
+
 _CELLS = {"fig06": _fig06_cell, "burst4": _burst4_cell,
           "cluster": _cluster_cell, "cluster_plain": _cluster_plain_cell,
           "cluster_faults": _cluster_faults_cell,
-          "cluster_shard_bouncer": _cluster_shard_bouncer_cell}
+          "cluster_shard_bouncer": _cluster_shard_bouncer_cell,
+          "fig06_faults": _fig06_faults_cell, "deadlines": _deadlines_cell}
 
 
 #: The only report fields a cell may move away from its recorded value:

@@ -1,7 +1,6 @@
 """Tests for the paper's future-work extensions we implement (§7).
 
 * Bouncer with sliding-window histograms instead of dual buffers.
-* Priority scheduling disciplines on the serving host.
 """
 
 import pytest
@@ -9,11 +8,9 @@ import pytest
 from repro.core import (HISTOGRAMS_SLIDING_WINDOW, BouncerConfig,
                         BouncerPolicy, HostContext, LatencySLO, ManualClock,
                         QueueView, SLORegistry)
-from repro.core.policy import AlwaysAcceptPolicy
 from repro.core.types import Query
 from repro.exceptions import ConfigurationError
-from repro.sim import QueryTypeSpec, SimulatedServer, Simulator, WorkloadMix
-from repro.sim import run_simulation
+from repro.sim import QueryTypeSpec, WorkloadMix, run_simulation
 
 SLO = LatencySLO.from_ms(p50=18, p90=50)
 
@@ -83,81 +80,3 @@ class TestSlidingWindowMode:
         b = report.stats_for("b")
         if b.completed:
             assert b.response[50.0] <= 0.018 * 1.2
-
-
-class TestPriorityScheduling:
-    def _server(self, priority_fn):
-        sim = Simulator()
-        server = SimulatedServer(sim, 1, lambda ctx: AlwaysAcceptPolicy(),
-                                 priority_fn=priority_fn)
-        return sim, server
-
-    def test_high_priority_jumps_the_queue(self):
-        # Priority 0 beats priority 1 regardless of arrival order.
-        sim, server = self._server(
-            lambda q: 0.0 if q.qtype == "vip" else 1.0)
-        blocker = Query(qtype="bulk", payload=0.010)
-        server.offer(blocker)  # occupies the single process
-        bulk = Query(qtype="bulk", payload=0.010)
-        vip = Query(qtype="vip", payload=0.010)
-        server.offer(bulk)
-        server.offer(vip)
-        sim.run()
-        assert vip.completed_at < bulk.completed_at
-
-    def test_fifo_among_equal_priorities(self):
-        sim, server = self._server(lambda q: 1.0)
-        server.offer(Query(qtype="x", payload=0.010))  # in service
-        first = Query(qtype="x", payload=0.010)
-        second = Query(qtype="x", payload=0.010)
-        server.offer(first)
-        server.offer(second)
-        sim.run()
-        assert first.completed_at < second.completed_at
-
-    def test_queue_length_tracks_heap(self):
-        sim, server = self._server(lambda q: 1.0)
-        for _ in range(3):
-            server.offer(Query(qtype="x", payload=0.010))
-        assert server.queue_length == 2  # one in service
-        sim.run()
-        assert server.queue_length == 0
-
-    def test_default_remains_fifo(self):
-        sim = Simulator()
-        server = SimulatedServer(sim, 1, lambda ctx: AlwaysAcceptPolicy())
-        server.offer(Query(qtype="x", payload=0.010))
-        early = Query(qtype="late-type", payload=0.010)
-        late = Query(qtype="x", payload=0.010)
-        server.offer(early)
-        server.offer(late)
-        sim.run()
-        assert early.completed_at < late.completed_at
-
-    def test_priority_reduces_vip_latency_under_load(self):
-        # Same workload, FIFO vs priority: vip p90 improves under priority.
-        mix = WorkloadMix([
-            QueryTypeSpec.from_mean_median("vip", 0.3, 0.002, 0.0015),
-            QueryTypeSpec.from_mean_median("bulk", 0.7, 0.008, 0.006),
-        ])
-
-        def run(priority_fn):
-            from repro.sim.workload import ArrivalSchedule
-            sim = Simulator()
-            server = SimulatedServer(sim, 8,
-                                     lambda ctx: AlwaysAcceptPolicy(),
-                                     priority_fn=priority_fn)
-            arrivals = iter(ArrivalSchedule(
-                mix, 1.2 * mix.full_load_qps(8), seed=29))
-            queries = [next(arrivals) for _ in range(8000)]
-            for query in queries:
-                sim.schedule_at(query.arrival_time,
-                                lambda q=query: server.offer(q))
-            sim.run()
-            vip_rts = sorted(q.response_time for q in queries
-                             if q.qtype == "vip")
-            return vip_rts[int(0.9 * len(vip_rts))]
-
-        fifo_p90 = run(None)
-        prio_p90 = run(lambda q: 0.0 if q.qtype == "vip" else 1.0)
-        assert prio_p90 < fifo_p90

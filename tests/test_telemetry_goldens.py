@@ -10,6 +10,9 @@ pin what the one write path and the one exposition must still produce:
   span recorder and a calibration tracker attached, all at
   ``sample_rate=1.0``; the second cell also pins the traces and spans
   JSONL digests;
+* the same three digests for the cluster model, whose brokers and
+  shards share one registry (recorded at ``df424da``, before they were
+  rebuilt on ``SimulatedServer``);
 * the sample lines of ``render_metrics`` (``#`` lines dropped, sorted as
   a multiset) for a Bouncer inside a starvation wrapper.
 
@@ -118,7 +121,42 @@ def render_metrics_lines():
                   if line and not line.startswith("#"))
 
 
-_CELLS = {"counters": counters_cell, "sinks": sinks_cell}
+def cluster_cell():
+    """The cluster model with every broker and shard recording into one
+    registry, tracer and span recorder, under shard engine errors, a shard
+    stall and the default resilience (retries, hedges, timeouts)."""
+    from repro.bench.experiments import (cluster_config, cluster_slos,
+                                         make_bouncer_aa)
+    from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+    from repro.liquid import run_cluster_simulation
+    from repro.liquid.cluster_sim import ResilienceConfig
+    from repro.telemetry import (DecisionTracer, MetricsRegistry,
+                                 SpanRecorder, Telemetry)
+
+    telemetry = Telemetry(
+        registry=MetricsRegistry(),
+        tracer=DecisionTracer(capacity=200000, sample_rate=1.0),
+        spans=SpanRecorder(capacity=200000, sample_rate=1.0))
+    plan = FaultPlan("golden-telemetry", 7, (
+        FaultSpec(FaultKind.ERROR, start=0.0, duration=0.03,
+                  target="shard-*", probability=0.1),
+        FaultSpec(FaultKind.ENGINE_STALL, start=0.01, duration=0.01,
+                  target="shard-0"),
+    ))
+    with _fresh_query_ids():
+        run_cluster_simulation(
+            cluster_config(seed=5), make_bouncer_aa(slos=cluster_slos()),
+            rate_qps=30_000.0, num_queries=1500, warmup_queries=1500,
+            seed=13, telemetry=telemetry,
+            fault_injector=FaultInjector(plan, telemetry=telemetry),
+            resilience=ResilienceConfig())
+    return {"render": _digest(telemetry.render()),
+            "traces": _digest(telemetry.tracer.render_jsonl()),
+            "spans": _digest(telemetry.spans.render_jsonl())}
+
+
+_CELLS = {"counters": counters_cell, "sinks": sinks_cell,
+          "cluster": cluster_cell}
 
 
 class TestTelemetryGoldens:
