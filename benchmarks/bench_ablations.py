@@ -164,43 +164,6 @@ def test_ablation_cold_start_fallback(benchmark):
             <= reports["no bootstrap"].overall.response[99.0])
 
 
-def test_ablation_sliding_window_histograms(benchmark):
-    """§7 future work: sliding-window vs dual-buffer histograms.
-
-    Same workload and SLOs; the sliding window sees fresh samples
-    immediately and ages them out gradually.  Both must hold the SLO; the
-    comparison is how many rejections each needs to do so.
-    """
-    from repro.core.bouncer import (HISTOGRAMS_DUAL_BUFFER,
-                                    HISTOGRAMS_SLIDING_WINDOW)
-
-    def build():
-        mix = simulation_mix()
-        slos = simulation_slos(mix)
-        rate = FACTOR * mix.full_load_qps(100)
-        out = {}
-        for mode in (HISTOGRAMS_DUAL_BUFFER, HISTOGRAMS_SLIDING_WINDOW):
-            out[mode] = run_simulation(
-                mix, bouncer_factory(slos, histogram_mode=mode),
-                rate_qps=rate, num_queries=NUM_QUERIES, seed=47)
-        return out
-
-    reports = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = []
-    for mode, report in reports.items():
-        ms = report.stats_for("medium_slow")
-        rows.append([mode, f"{report.rejection_pct():.2f}",
-                     f"{ms.response.get(50.0, 0) * 1000:.2f}"])
-    publish("ablation_histogram_mode", format_table(
-        ["histograms", "overall rej %", "medium_slow rt_p50 (ms)"], rows,
-        title="Ablation: dual-buffer vs sliding-window histograms at 1.3x"))
-
-    for report in reports.values():
-        ms = report.stats_for("medium_slow")
-        if ms.completed:
-            assert ms.response[50.0] <= 0.018 * 1.2
-
-
 def test_ablation_bouncer_on_both_tiers(benchmark):
     """§5.6 pairing: Bouncer brokers + AcceptFraction shards vs Bouncer on
     both tiers.

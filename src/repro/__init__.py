@@ -63,7 +63,7 @@ _EXPORTS = LazyExports(globals(), {
                      "BouncerEstimate BouncerPolicy",
     ".core.clock": "Clock ManualClock MonotonicClock",
     ".core.context": "HostContext",
-    ".core.dual_buffer": "DualBufferHistogram SlidingWindowHistogram",
+    ".core.dual_buffer": "DualBufferHistogram",
     ".core.histogram": "BucketLayout HistogramSnapshot LatencyHistogram",
     ".core.policy": "AdmissionPolicy AlwaysAcceptPolicy AlwaysRejectPolicy "
                     "PolicyStats QueueView TypeCounters",

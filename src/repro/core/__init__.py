@@ -18,12 +18,11 @@ _EXPORTS = LazyExports(globals(), {
     ".baselines.max_queue_length": "MaxQueueLengthPolicy",
     ".baselines.max_queue_wait": "MaxQueueWaitTimePolicy",
     ".baselines.queue_cap": "QueueLimitWrapper",
-    ".bouncer": "DECISION_ALL DECISION_ANY HISTOGRAMS_DUAL_BUFFER "
-                "HISTOGRAMS_SLIDING_WINDOW BouncerConfig BouncerEstimate "
+    ".bouncer": "DECISION_ALL DECISION_ANY BouncerConfig BouncerEstimate "
                 "BouncerPolicy",
     ".clock": "Clock ManualClock MonotonicClock SleepingClock at_or_after",
     ".context": "HostContext",
-    ".dual_buffer": "DualBufferHistogram SlidingWindowHistogram",
+    ".dual_buffer": "DualBufferHistogram",
     ".histogram": "BucketLayout HistogramSnapshot LatencyHistogram "
                   "empty_snapshot",
     ".policy": "AdmissionPolicy AlwaysAcceptPolicy AlwaysRejectPolicy "

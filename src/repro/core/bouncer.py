@@ -33,32 +33,21 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ConfigurationError
 from .context import HostContext
-from .dual_buffer import DualBufferHistogram, SlidingWindowHistogram
+from .dual_buffer import DualBufferHistogram
 from .histogram import DEFAULT_LAYOUT, BucketLayout, HistogramSnapshot
 from .policy import AdmissionPolicy
 from .slo import LatencySLO, SLORegistry
 from .types import AdmissionResult, Decision, Query, RejectReason
-
-#: Either histogram backend satisfies the same record/estimate surface.
-HistogramBackend = Union[DualBufferHistogram, SlidingWindowHistogram]
 
 #: Reject when ANY percentile estimate exceeds its target (Algorithm 1).
 DECISION_ANY = "any"
 #: Reject only when ALL percentile estimates exceed their targets
 #: (a laxer variant evaluated in the ablation benches).
 DECISION_ALL = "all"
-
-#: Histogram maintenance via atomically swapped non-overlapping windows
-#: (the paper's production design, §3 footnote 4).
-HISTOGRAMS_DUAL_BUFFER = "dual-buffer"
-#: Histogram maintenance over a sliding window of overlapping slices (the
-#: alternative the paper lists as future work, §7).
-HISTOGRAMS_SLIDING_WINDOW = "sliding-window"
 
 
 @dataclass
@@ -87,13 +76,6 @@ class BouncerConfig:
     decision_mode:
         :data:`DECISION_ANY` (the paper's Algorithm 1) or
         :data:`DECISION_ALL`.
-    histogram_mode:
-        :data:`HISTOGRAMS_DUAL_BUFFER` (the paper's design) or
-        :data:`HISTOGRAMS_SLIDING_WINDOW` (its future-work alternative:
-        observations age out slice by slice instead of all at once).
-    histogram_window:
-        Sliding-window span in seconds (sliding-window mode only); slices
-        are ``histogram_interval`` long.
     layout:
         Optional shared histogram bucket layout.
     """
@@ -104,8 +86,6 @@ class BouncerConfig:
     retain_min_samples: int = 10
     bootstrap_samples: int = 100
     decision_mode: str = DECISION_ANY
-    histogram_mode: str = HISTOGRAMS_DUAL_BUFFER
-    histogram_window: float = 5.0
     layout: Optional[BucketLayout] = None
 
     def __post_init__(self) -> None:
@@ -113,21 +93,15 @@ class BouncerConfig:
             raise ConfigurationError(
                 f"decision_mode must be {DECISION_ANY!r} or {DECISION_ALL!r},"
                 f" got {self.decision_mode!r}")
-        if self.histogram_mode not in (HISTOGRAMS_DUAL_BUFFER,
-                                       HISTOGRAMS_SLIDING_WINDOW):
-            raise ConfigurationError(
-                f"histogram_mode must be {HISTOGRAMS_DUAL_BUFFER!r} or "
-                f"{HISTOGRAMS_SLIDING_WINDOW!r}, got "
-                f"{self.histogram_mode!r}")
         # Comparisons are written so that NaN fails them.
         if not 0 < self.histogram_interval < math.inf:
             raise ConfigurationError(
                 "histogram_interval must be finite and > 0")
-        if not self.histogram_interval <= self.histogram_window < math.inf:
-            raise ConfigurationError(
-                "histogram_window must be finite and >= histogram_interval")
-        if not isinstance(self.min_samples, int) or not self.min_samples >= 0:
-            raise ConfigurationError("min_samples must be an integer >= 0")
+        for name in ("min_samples", "retain_min_samples",
+                     "bootstrap_samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or not value >= 0:
+                raise ConfigurationError(f"{name} must be an integer >= 0")
 
 
 class BouncerEstimate:
@@ -275,7 +249,7 @@ class BouncerPolicy(AdmissionPolicy):
         self._ctx = ctx
         self._config = config
         self._slos = config.slos
-        self._hists: Dict[str, HistogramBackend] = {}
+        self._hists: Dict[str, DualBufferHistogram] = {}
         self._general = self._new_histogram()
         self._index_for = (config.layout or DEFAULT_LAYOUT).index_for
         self._mode_any = config.decision_mode == DECISION_ANY
@@ -301,13 +275,7 @@ class BouncerPolicy(AdmissionPolicy):
         self._views_persist = config.retain_min_samples > 0
 
     # -- construction helpers -------------------------------------------
-    def _new_histogram(self) -> HistogramBackend:
-        if self._config.histogram_mode == HISTOGRAMS_SLIDING_WINDOW:
-            return SlidingWindowHistogram(
-                self._ctx.clock,
-                window=self._config.histogram_window,
-                step=self._config.histogram_interval,
-                layout=self._config.layout)
+    def _new_histogram(self) -> DualBufferHistogram:
         return DualBufferHistogram(
             self._ctx.clock,
             interval=self._config.histogram_interval,
@@ -315,7 +283,7 @@ class BouncerPolicy(AdmissionPolicy):
             bootstrap_samples=self._config.bootstrap_samples,
             layout=self._config.layout)
 
-    def _histogram_for(self, qtype: str) -> HistogramBackend:
+    def _histogram_for(self, qtype: str) -> DualBufferHistogram:
         hist = self._hists.get(qtype)
         if hist is None:
             hist = self._new_histogram()
@@ -360,23 +328,23 @@ class BouncerPolicy(AdmissionPolicy):
     def import_state(self, state: dict) -> None:
         """Preload histograms exported from a previous installation.
 
-        Requires dual-buffer histogram mode (the paper's design); the
-        preloaded snapshots serve estimates until live data replaces them,
-        skipping the cold-start window entirely.
+        The preloaded snapshots serve estimates until live data replaces
+        them, skipping the cold-start window entirely.  The whole payload
+        is parsed and its layouts checked before anything is installed, so
+        a malformed one changes nothing.
         """
-        if self._config.histogram_mode != HISTOGRAMS_DUAL_BUFFER:
-            raise ConfigurationError(
-                "state import requires dual-buffer histograms")
         general = state.get("general")
-        if general is not None:
-            snapshot = HistogramSnapshot.from_dict(general)
-            if not snapshot.is_empty:
-                self._general.preload(snapshot)
-        for qtype, payload in state.get("types", {}).items():
-            snapshot = HistogramSnapshot.from_dict(payload)
-            if not snapshot.is_empty:
-                self._histogram_for(qtype).preload(snapshot)
-        self.invalidate_estimates()
+        general = None if general is None else HistogramSnapshot.from_dict(
+            general)
+        types = {qtype: HistogramSnapshot.from_dict(payload)
+                 for qtype, payload in state.get("types", {}).items()}
+        layout = self._config.layout or DEFAULT_LAYOUT
+        for snapshot in (general, *types.values()):
+            if (snapshot is not None and not snapshot.is_empty
+                    and not layout.compatible_with(snapshot._layout)):
+                raise ConfigurationError(
+                    "imported snapshot has an incompatible bucket layout")
+        self.preload_snapshots(types, general)
 
     def preload_snapshots(self, types: Mapping[str, HistogramSnapshot],
                           general: Optional[HistogramSnapshot] = None,
@@ -389,12 +357,8 @@ class BouncerPolicy(AdmissionPolicy):
         are carried into the local dual buffers (epoch handoff), so every
         process applying the same publication sequence keys its memoized
         statistics identically — the dual-buffer epoch is the one
-        invalidation token shared across the fleet.  Requires dual-buffer
-        mode, like :meth:`import_state`.
+        invalidation token shared across the fleet.
         """
-        if self._config.histogram_mode != HISTOGRAMS_DUAL_BUFFER:
-            raise ConfigurationError(
-                "snapshot preload requires dual-buffer histograms")
         if general is not None and not general.is_empty:
             self._general.preload(general, adopt_epoch=adopt_epochs)
         for qtype, snapshot in types.items():
@@ -452,8 +416,7 @@ class BouncerPolicy(AdmissionPolicy):
         """Touch ``qtype``'s backends in the naive walk's order: whether
         the Appendix A fallback applies, the view to use (the general one
         when it does), and until when a re-read returns the same views --
-        the earliest publish boundary of the backends read, ``-inf`` for
-        sliding windows, which show each record at once."""
+        the earliest publish boundary of the backends read."""
         hist = self._histogram_for(qtype)
         snap = hist.snapshot()
         until = hist.next_publish_due()
@@ -461,8 +424,6 @@ class BouncerPolicy(AdmissionPolicy):
         if cold:
             snap = self._general.snapshot()
             until = min(until, self._general.next_publish_due())
-        if hist.records_visible_immediately:
-            until = -math.inf
         return cold, snap, until
 
     def _entry(self, qtype: str) -> _TypeEntry:
@@ -585,8 +546,7 @@ class BouncerPolicy(AdmissionPolicy):
         record that does drops the entry and mean read from that backend
         (every one, for the general histogram), so the next read touches
         it where the naive walk would.  A backend is checked only until it
-        holds a view it cannot lose (``_settled``).  Sliding windows never
-        bootstrap, and their reads are never reused.
+        holds a view it cannot lose (``_settled``).
         """
         qtype = query.qtype
         hist = self._hists.get(qtype)
@@ -597,8 +557,6 @@ class BouncerPolicy(AdmissionPolicy):
         hist.record_at(index, processing_time)
         general = self._general
         general.record_at(index, processing_time)
-        if hist.records_visible_immediately:
-            return
         settled = self._settled
         if qtype not in settled:
             if hist.bootstrap_pending:

@@ -11,11 +11,6 @@ refinement for traffic lulls: when the interval that just ended collected
 fewer than ``min_samples`` observations, the previously published snapshot
 is *retained* ("we prefer stale data to no data") instead of being replaced
 by a near-empty one.
-
-:class:`SlidingWindowHistogram` implements the alternative the paper lists
-as future work — updating histograms over a sliding window of overlapping
-sub-intervals instead of non-overlapping windows — so the two designs can be
-compared (see ``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations
@@ -59,10 +54,6 @@ class DualBufferHistogram:
     can cache derived statistics per epoch (see
     :class:`repro.core.histogram.HistogramSnapshot`).
     """
-
-    #: Records only become visible at the next publish, never immediately,
-    #: so Bouncer may reuse what it read from this buffer until then.
-    records_visible_immediately = False
 
     def __init__(self, clock: Clock, interval: float = DEFAULT_INTERVAL,
                  min_samples: int = DEFAULT_MIN_SAMPLES,
@@ -221,106 +212,3 @@ class DualBufferHistogram:
             self._retained += 1
         self._active.reset()
 
-
-class SlidingWindowHistogram:
-    """Histogram over the last ``window`` seconds, in ``step``-sized slices.
-
-    The published view merges the most recent ``window / step`` completed
-    slices, so observations age out gradually instead of all at once at the
-    interval boundary.  This is the paper's future-work alternative to the
-    dual buffer; it trades memory (one histogram per slice) and merge cost
-    for smoother estimates.
-
-    The merged view only changes when a slice rotates or a record lands, so
-    :meth:`snapshot` caches the merged result and re-publishes the same
-    object (same epoch) until either happens.  The set of *live* slices is
-    stable between rotations: the oldest live slice only ages past the
-    horizon exactly when the next rotation is due, so a cached view can
-    never hide a slice expiry.
-    """
-
-    #: Records land in the current slice and are visible on the very next
-    #: merge, so Bouncer reuses nothing it read from this publisher.
-    records_visible_immediately = True
-
-    def __init__(self, clock: Clock, window: float = 10.0, step: float = 1.0,
-                 layout: Optional[BucketLayout] = None) -> None:
-        if step <= 0 or window <= 0:
-            raise ConfigurationError("window and step must be > 0")
-        if window < step:
-            raise ConfigurationError(
-                f"window ({window}) must be >= step ({step})")
-        self._clock = clock
-        self._step = float(step)
-        self._num_slices = max(1, int(round(window / step)))
-        self._layout = layout
-        self._slices = [LatencyHistogram(layout)
-                        for _ in range(self._num_slices)]
-        self._slice_starts = [float("-inf")] * self._num_slices
-        self._current = 0
-        self._slice_starts[0] = clock.now()
-        self._epoch = 0
-        self._cached: Optional[HistogramSnapshot] = None
-
-    @property
-    def published_epoch(self) -> int:
-        """Epoch of the most recently merged view (0 = never merged)."""
-        return self._epoch
-
-    @property
-    def bootstrap_pending(self) -> bool:
-        """Sliding windows have no bootstrap phase; always False."""
-        return False
-
-    def next_publish_due(self) -> float:
-        """Instant of the next slice rotation (next time-driven change)."""
-        return self._slice_starts[self._current] + self._step
-
-    def record(self, value: float) -> None:
-        self.record_at(self._slices[0].layout.index_for(value), value)
-
-    def record_at(self, index: int, value: float) -> None:
-        """:meth:`record` with the bucket index already computed."""
-        self._advance()
-        self._slices[self._current].record_at(index, value)
-        self._cached = None
-
-    def snapshot(self) -> HistogramSnapshot:
-        """Merge all live slices into one immutable snapshot.
-
-        The merge is cached: until a rotation or a new record invalidates
-        it, repeat calls return the identical snapshot object (same epoch).
-        """
-        if self._advance():
-            self._cached = None
-        cached = self._cached
-        if cached is not None:
-            return cached
-        now = self._clock.now()
-        horizon = now - self._num_slices * self._step
-        merged = LatencyHistogram(self._slices[0].layout)
-        for idx, hist in enumerate(self._slices):
-            if self._slice_starts[idx] >= horizon:
-                merged.merge(hist)
-        self._epoch += 1
-        snap = merged.snapshot(epoch=self._epoch)
-        self._cached = snap
-        return snap
-
-    def _advance(self) -> bool:
-        """Rotate slices up to ``now``; True when any rotation happened."""
-        now = self._clock.now()
-        current_start = self._slice_starts[self._current]
-        steps_behind = int((now - current_start) / self._step)
-        if steps_behind <= 0:
-            return False
-        # Rotate forward, clearing the slices we move into.  Cap the loop at
-        # one full rotation: anything older is cleared anyway.
-        for offset in range(1, min(steps_behind, self._num_slices) + 1):
-            idx = (self._current + offset) % self._num_slices
-            self._slices[idx].reset()
-            self._slice_starts[idx] = current_start + offset * self._step
-        self._current = (self._current + steps_behind) % self._num_slices
-        self._slice_starts[self._current] = (current_start
-                                             + steps_behind * self._step)
-        return True

@@ -127,12 +127,12 @@ class HistogramSnapshot:
     requested rank, so the answer is within one bucket's relative error of
     the true order statistic of the recorded values.
 
-    ``epoch`` is a publisher-assigned identity: the dual-buffer and
-    sliding-window publishers increment it every time a *new* view is
-    published (swap, bootstrap, preload, window rebuild).  Two snapshots
-    from the same publisher with the same epoch are the same object, so
-    consumers (:class:`repro.core.bouncer.BouncerPolicy`) can memoize
-    derived statistics keyed on the epoch instead of re-walking buckets.
+    ``epoch`` is a publisher-assigned identity: the dual buffer increments
+    it every time a *new* view is published (swap, bootstrap, preload).
+    Two snapshots from the same publisher with the same epoch are the same
+    object, so consumers (:class:`repro.core.bouncer.BouncerPolicy`) can
+    memoize derived statistics keyed on the epoch instead of re-walking
+    buckets.
     Snapshots created outside a publisher default to epoch 0.
     """
 
@@ -320,17 +320,6 @@ class HistogramSnapshot:
         return (cls(layout, counts, int(total), float(value_sum),
                     epoch=int(epoch)), end)
 
-    def merged_with(self, other: "HistogramSnapshot",
-                    epoch: int = 0) -> "HistogramSnapshot":
-        """Return a new snapshot combining both sets of observations."""
-        if not self._layout.compatible_with(other._layout):
-            raise ConfigurationError("cannot merge snapshots with different "
-                                     "bucket layouts")
-        counts = [a + b for a, b in zip(self._counts, other._counts)]
-        return HistogramSnapshot(self._layout, counts,
-                                 self.count + other.count,
-                                 self._sum + other._sum, epoch=epoch)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_empty:
             return "HistogramSnapshot(empty)"
@@ -438,16 +427,6 @@ class LatencyHistogram:
         """
         return HistogramSnapshot(self._layout, self._counts, self._count,
                                  self._sum, epoch=epoch)
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram's observations into this one."""
-        if not self._layout.compatible_with(other._layout):
-            raise ConfigurationError("cannot merge histograms with different "
-                                     "bucket layouts")
-        for idx, cnt in enumerate(other._counts):
-            self._counts[idx] += cnt
-        self._count += other._count
-        self._sum += other._sum
 
     def reset(self) -> None:
         """Clear all recorded observations (dual-buffer recycle)."""

@@ -503,34 +503,34 @@ class AdmissionServer:
                     self.telemetry.on_policy_error()
             self.telemetry.on_dequeue(query, now=now)
             handler_started = self._clock.now()
+            failure: Optional[Exception] = None
+            injected = False
             try:
                 outcome = self._handler(query)
             except Exception as exc:  # propagate into the caller's future
-                query.completed_at = self._clock.now()
-                self.telemetry.on_completion(query, now=query.completed_at,
-                                             errored=True)
-                future.set_exception(exc)
-                continue
-            errored = False
-            if self._faults is not None:
+                failure = exc
+            if failure is None and self._faults is not None:
                 self._apply_service_faults(query, handler_started)
-                errored = self._faults.should_error(query, self._clock.now(),
-                                                    self._host)
+                injected = self._faults.should_error(query, self._clock.now(),
+                                                     self._host)
             query.completed_at = now = self._clock.now()
             with self._lock:
                 try:
-                    # An injected error still reports the work it cost:
-                    # the engine did the work, then errored the query.
+                    # An errored query still reports the work it cost: the
+                    # engine did the work, then the handler or a fault
+                    # errored the query.
                     self.policy.on_completed(query, query.wait_time or 0.0,
                                              query.processing_time or 0.0)
                 except Exception:
                     self.telemetry.on_policy_error()
-            if errored:
+            if injected:
                 self.telemetry.span_mark_fault(query, "engine_error", now)
-            self.telemetry.on_completion(query, now=now, errored=errored)
-            if errored:
-                future.set_exception(InjectedFaultError(
+                failure = InjectedFaultError(
                     f"query {query.query_id} poisoned by fault plan "
-                    f"{self._faults.plan.name!r}"))  # type: ignore[union-attr]
-            else:
+                    f"{self._faults.plan.name!r}")  # type: ignore[union-attr]
+            self.telemetry.on_completion(query, now=now,
+                                         errored=failure is not None)
+            if failure is None:
                 future.set_result(outcome)
+            else:
+                future.set_exception(failure)

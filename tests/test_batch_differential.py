@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, QueueView, SLORegistry)
-from repro.core.bouncer import HISTOGRAMS_SLIDING_WINDOW
 from repro.core.baselines.accept_fraction import AcceptFractionPolicy
 from repro.core.baselines.max_queue_length import MaxQueueLengthPolicy
 from repro.core.baselines.max_queue_wait import MaxQueueWaitTimePolicy
@@ -108,9 +107,11 @@ def _simulate(policy_factory, *, batched, burst, num_queries,
 POLICY_FACTORIES = {
     "bouncer_fast": _bouncer_factory(),
     "bouncer_naive": _bouncer_factory(NaiveBouncerPolicy),
-    "bouncer_sliding": _bouncer_factory(
-        histogram_mode=HISTOGRAMS_SLIDING_WINDOW, histogram_window=3.0,
-        min_samples=2),
+    # The dual buffer's two other publish rules: a sample-driven bootstrap
+    # publish mid-interval, and a stale view kept over a sparse interval.
+    "bouncer_bootstrap": _bouncer_factory(min_samples=2,
+                                          bootstrap_samples=2),
+    "bouncer_retain": _bouncer_factory(retain_min_samples=4),
     "maxql": lambda ctx: MaxQueueLengthPolicy(ctx, limit=3),
     "maxqwt": lambda ctx: MaxQueueWaitTimePolicy(ctx, limit=0.01),
     "accept_fraction": lambda ctx: AcceptFractionPolicy(ctx, seed=7),

@@ -48,15 +48,25 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("histogram_interval", float("nan")),
         ("histogram_interval", float("inf")),
-        ("histogram_window", float("nan")),
-        ("histogram_window", float("inf")),
         ("min_samples", float("nan")),
         ("min_samples", 2.5),
+        ("retain_min_samples", -1),
+        ("retain_min_samples", float("nan")),
+        ("retain_min_samples", 2.5),
+        ("bootstrap_samples", -1),
+        ("bootstrap_samples", float("nan")),
+        ("bootstrap_samples", 2.5),
     ])
     def test_rejects_non_finite_and_non_integer_values(self, field, value):
         # NaN fails every comparison, so ``x < 0``-style checks let it in.
         with pytest.raises(ConfigurationError):
             BouncerConfig(slos=SLORegistry.uniform(SLO), **{field: value})
+
+    def test_zero_disables_every_sample_threshold(self):
+        policy, clock, _ = make_policy(min_samples=0, retain_min_samples=0,
+                                       bootstrap_samples=0)
+        feed(policy, clock, "fast", [0.001])
+        assert policy.processing_snapshot("fast").count == 1
 
 
 class TestWaitEstimate:

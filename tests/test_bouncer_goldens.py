@@ -8,7 +8,7 @@ the fused scalar ``_decide`` and the naive recompute-everything arm, so
 they pin those paths' outcomes:
 
 * plain Bouncer, clumps of 64 through ``offer_many`` (the override's only
-  simulated caller), with dual-buffer and with sliding-window histograms;
+  simulated caller);
 * the drifting gateway workload (``tests/gateway_workload.py``) through
   two in-process :class:`~repro.gateway.worker.ShardEngine` s sharing one
   snapshot board: a digest of the bits and of each worker's log bytes.
@@ -41,12 +41,6 @@ def _burst64_cell(**config):
         mix, make_bouncer(**config), rate_qps=1.1 * mix.full_load_qps(100),
         num_queries=6000, parallelism=100, warmup_queries=3000, seed=11,
         attainment_threshold=0.05, burst=64)
-
-
-def _burst64_sliding_cell():
-    from repro.core.bouncer import HISTOGRAMS_SLIDING_WINDOW
-
-    return _burst64_cell(histogram_mode=HISTOGRAMS_SLIDING_WINDOW)
 
 
 def gateway_digest(publications=12, frames_per_publication=25, seed=5):
@@ -86,7 +80,7 @@ def gateway_digest(publications=12, frames_per_publication=25, seed=5):
             "accepted": accepted, "decisions": decisions}
 
 
-_CELLS = {"burst64": _burst64_cell, "burst64_sliding": _burst64_sliding_cell}
+_CELLS = {"burst64": _burst64_cell}
 
 
 class TestGoldens:

@@ -57,8 +57,8 @@ def bouncer_factory(ctx):
     # ~1 ms handlers makes the policy reject once the queue builds.
     return BouncerPolicy(ctx, BouncerConfig(
         slos=SLORegistry.uniform(LatencySLO.from_ms(p50=8, p90=20), TYPES),
-        histogram_interval=3600.0, histogram_window=3600.0, min_samples=5,
-        retain_min_samples=0, bootstrap_samples=40))
+        histogram_interval=3600.0, min_samples=5, retain_min_samples=0,
+        bootstrap_samples=40))
 
 
 def counter_sum(registry, name):

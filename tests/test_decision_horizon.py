@@ -7,9 +7,8 @@ while no histogram it reads can publish:
   per-percentile loop into the largest wait it accepts, and the verdict
   ``not (wait > limit)`` must equal the loop for every float wait;
 * the **entry horizon**: an entry is reused untouched until the first
-  publish boundary of the backends it was read from, and never while
-  records are visible at once (sliding windows); a record that arms a
-  bootstrap publish drops the entries it could change.
+  publish boundary of the backends it was read from; a record that arms
+  a bootstrap publish drops the entries it could change.
 
 Each horizon edge is driven through Bouncer and the naive oracle
 (``tests/bouncer_oracle.py``), which builds a fresh entry and runs the
@@ -26,8 +25,7 @@ from hypothesis import strategies as st
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, QueueView, SLORegistry)
 from repro.core import bouncer as bouncer_module
-from repro.core.bouncer import (DECISION_ALL, DECISION_ANY,
-                                HISTOGRAMS_SLIDING_WINDOW, _accept_limit,
+from repro.core.bouncer import (DECISION_ALL, DECISION_ANY, _accept_limit,
                                 _TypeEntry)
 from repro.core.types import Query
 from tests.bouncer_oracle import NaiveBouncerPolicy
@@ -326,17 +324,6 @@ class TestEntryHorizon:
         twin.slos.register("fast", TIGHT)
         assert not twin.decide("fast").accepted
         assert twin.entry("fast").slo is TIGHT
-
-    def test_sliding_window_never_reuses(self, monkeypatch):
-        twin = Twin(histogram_mode=HISTOGRAMS_SLIDING_WINDOW,
-                    histogram_window=3.0, min_samples=2)
-        twin.record("fast", *[0.004] * 4)
-        calls = count_entry_calls(monkeypatch, twin.fast)
-        for step in range(6):
-            twin.set(step * 0.25)
-            twin.decide("fast")
-            assert twin.entry("fast").until == -math.inf
-        assert calls == ["fast"] * 6
 
     def test_decide_types_follows_the_same_rule(self, monkeypatch):
         twin = Twin()

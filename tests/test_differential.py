@@ -233,3 +233,85 @@ class TestErrorVerdictFeedsPolicy:
                 with pytest.raises(InjectedFaultError):
                     future.result(timeout=5.0)
         assert completed == ["x"] * 5
+
+    def test_runtime_host_reports_raising_handler(self):
+        """A handler that raises costs the engine work as well: the policy
+        hears of it, as it does of an injected error."""
+        completed = []
+
+        def handler(query):
+            raise RuntimeError("backend down")
+
+        server = AdmissionServer(self._counting_policy(completed),
+                                 handler=handler, workers=2)
+        with server:
+            futures = [server.submit(Query(qtype="x")) for _ in range(5)]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="backend down"):
+                    future.result(timeout=5.0)
+        assert completed == ["x"] * 5
+
+    @pytest.mark.parametrize("outcome", ["ok", "raise", "injected"])
+    def test_policy_hears_before_the_future_resolves(self, outcome):
+        """One completion tail for every outcome: the policy is told of
+        the work before the caller's future is resolved."""
+        completed = []
+
+        def handler(query):
+            if outcome == "raise":
+                raise RuntimeError("backend down")
+            return "ok"
+
+        faults = self._always_error() if outcome == "injected" else None
+        server = AdmissionServer(self._counting_policy(completed),
+                                 handler=handler, workers=1,
+                                 fault_injector=faults)
+        with server:
+            for sent in range(1, 4):
+                future = server.submit(Query(qtype="x"))
+                future.exception(timeout=5.0)
+                assert completed == ["x"] * sent
+
+    def test_raising_handler_reports_the_time_it_took(self):
+        from repro.core import AlwaysAcceptPolicy
+
+        reported, entered = [], []
+
+        class Recording(AlwaysAcceptPolicy):
+            def on_completed(self, query, wait, processing):
+                reported.append((query, processing))
+
+        def handler(query):
+            entered.append(server.ctx.clock.now())
+            raise RuntimeError("backend down")
+
+        server = AdmissionServer(lambda ctx: Recording(), handler=handler,
+                                 workers=1)
+        with server:
+            future = server.submit(Query(qtype="x"))
+            with pytest.raises(RuntimeError):
+                future.result(timeout=5.0)
+        [(query, processing)] = reported
+        assert processing == query.processing_time >= 0.0
+        assert query.completed_at >= entered[0]
+
+    def test_mixed_outcomes_each_reach_policy_and_caller(self):
+        completed = []
+
+        def handler(query):
+            if query.payload % 2:
+                raise ValueError(f"odd {query.payload}")
+            return query.payload
+
+        server = AdmissionServer(self._counting_policy(completed),
+                                 handler=handler, workers=2)
+        with server:
+            futures = [server.submit(Query(qtype="x", payload=n))
+                       for n in range(8)]
+            for n, future in enumerate(futures):
+                if n % 2:
+                    with pytest.raises(ValueError, match=f"odd {n}"):
+                        future.result(timeout=5.0)
+                else:
+                    assert future.result(timeout=5.0) == n
+        assert completed == ["x"] * 8

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
+from repro.core.dual_buffer import DualBufferHistogram
+from repro.core.histogram import LatencyHistogram
 from repro.exceptions import ConfigurationError
 
 
@@ -131,49 +132,58 @@ class TestDualBufferHistogram:
         assert buf.swap_count == 3
 
 
-class TestSlidingWindowHistogram:
-    def test_rejects_bad_config(self):
-        clock = ManualClock()
-        with pytest.raises(ConfigurationError):
-            SlidingWindowHistogram(clock, window=0)
-        with pytest.raises(ConfigurationError):
-            SlidingWindowHistogram(clock, window=1.0, step=2.0)
 
-    def test_snapshot_includes_current_slice(self):
-        clock = ManualClock()
-        hist = SlidingWindowHistogram(clock, window=10.0, step=1.0)
-        hist.record(0.010)
-        assert hist.snapshot().count == 1
+class TestPublishedView:
+    """The read side changes only at a publish: a boundary, a bootstrap or
+    a preload.  Bouncer's decision entries are reused on that promise."""
 
-    def test_old_observations_age_out(self):
+    def test_view_is_one_object_between_boundaries(self):
         clock = ManualClock()
-        hist = SlidingWindowHistogram(clock, window=3.0, step=1.0)
-        hist.record(0.010)
-        clock.advance(1.5)
-        hist.record(0.020)
-        assert hist.snapshot().count == 2
-        clock.advance(3.0)  # first slice now older than the window
-        snap = hist.snapshot()
-        assert snap.count <= 1
+        buf = DualBufferHistogram(clock, interval=1.0, min_samples=1)
+        buf.record(0.010)
+        clock.advance(1.0)
+        view = buf.snapshot()
+        for _ in range(9):
+            clock.advance(0.1)
+            buf.record(0.500)
+            assert buf.snapshot() is view
+        clock.advance(0.1)
+        assert buf.snapshot() is not view
 
-    def test_everything_ages_out_eventually(self):
+    def test_preload_restarts_the_interval(self):
         clock = ManualClock()
-        hist = SlidingWindowHistogram(clock, window=2.0, step=0.5)
-        for _ in range(10):
-            hist.record(0.010)
-        clock.advance(60.0)
-        assert hist.snapshot().is_empty
+        buf = DualBufferHistogram(clock, interval=1.0, min_samples=1)
+        clock.advance(0.7)
+        preloaded = LatencyHistogram.from_values([0.020] * 5).snapshot()
+        buf.preload(preloaded)
+        assert buf.next_publish_due() == pytest.approx(1.7)
+        buf.record(0.001)
+        clock.set(1.69)
+        assert buf.snapshot().mean() == pytest.approx(0.020)
+        clock.set(1.7)
+        assert buf.snapshot().mean() == pytest.approx(0.001)
 
-    def test_gradual_aging_smoother_than_dual_buffer(self):
-        # Within one window, counts decrease slice by slice, not all at once.
+    def test_adopted_epochs_only_move_forward(self):
         clock = ManualClock()
-        hist = SlidingWindowHistogram(clock, window=4.0, step=1.0)
-        for _ in range(4):
-            hist.record(0.010)
-            clock.advance(1.0)
-        counts = []
-        for _ in range(4):
-            counts.append(hist.snapshot().count)
-            clock.advance(1.0)
-        assert counts[0] >= counts[-1]
-        assert counts == sorted(counts, reverse=True)
+        buf = DualBufferHistogram(clock, interval=1.0, min_samples=1)
+        snap = LatencyHistogram.from_values([0.010]).snapshot()
+        buf.preload(snap.with_epoch(7), adopt_epoch=True)
+        assert buf.published_epoch == buf.snapshot().epoch == 7
+        # An older publisher epoch cannot move the buffer backwards.
+        buf.preload(snap.with_epoch(3), adopt_epoch=True)
+        assert buf.published_epoch == 8
+        buf.preload(snap.with_epoch(20))  # not adopted: local count
+        assert buf.published_epoch == 9
+        buf.record(0.010)
+        clock.advance(1.0)
+        assert buf.snapshot().epoch == 10
+
+    def test_no_bootstrap_without_bootstrap_samples(self):
+        clock = ManualClock()
+        buf = DualBufferHistogram(clock, interval=10.0, bootstrap_samples=0)
+        for _ in range(50):
+            buf.record(0.010)
+            assert not buf.bootstrap_pending
+        assert buf.snapshot().is_empty
+        clock.advance(10.0)
+        assert buf.snapshot().count == 50

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, QueueView, SLORegistry)
-from repro.core.bouncer import HISTOGRAMS_SLIDING_WINDOW
-from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
+from repro.core.dual_buffer import DualBufferHistogram
 from repro.core.histogram import LatencyHistogram
 from repro.core.types import AdmissionResult, Query
 from repro.sim.simulator import Simulator
@@ -97,21 +96,6 @@ class TestPublishEpochs:
         snap = hist.snapshot()  # sample-driven publish, mid-interval
         assert snap.count == 3
         assert snap.epoch == 1
-
-    def test_sliding_snapshot_cached_between_changes(self):
-        clock = ManualClock()
-        hist = SlidingWindowHistogram(clock, window=4.0, step=1.0)
-        hist.record(0.01)
-        first = hist.snapshot()
-        # No rotation and no record: the merged snapshot is reused.
-        assert hist.snapshot() is first
-        hist.record(0.02)
-        second = hist.snapshot()
-        assert second is not first
-        assert second.epoch > first.epoch
-        clock.advance(1.0)
-        third = hist.snapshot()  # rotation rebuilds
-        assert third.epoch > second.epoch
 
 
 class TestColdStartThreshold:
@@ -221,10 +205,9 @@ def op_strategy():
 
 #: Found by hypothesis.  The fast path's queue subscription used to create
 #: a never-decided type's histogram at enqueue time, the naive walk at the
-#: next record or decision; the creation instant sets the sliding window's
-#: slice phase (and the dual buffer's swap phase), so the two modes
-#: published different windows: ACCEPT with {50: 0.0, 90: 0.0} against
-#: REJECT with {50: 0.1576, 90: 0.1596}.
+#: next record or decision; the creation instant sets the dual buffer's
+#: swap phase, so the two published different windows: ACCEPT with
+#: {50: 0.0, 90: 0.0} against REJECT with {50: 0.1576, 90: 0.1596}.
 ENQUEUE_BEFORE_FIRST_DECISION = [
     ("enqueue", "fast"), ("advance", 2.5),
     ("record", ("fast", 0.125)), ("record", ("fast", 0.125)),
@@ -277,17 +260,6 @@ class TestFastPathEquivalence:
     def test_dual_buffer_interleavings(self, ops, retain):
         runner = ScriptRunner(min_samples=3, retain_min_samples=retain,
                               bootstrap_samples=2)
-        runner.assert_identical(runner.run(ops))
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=op_strategy())
-    @example(ops=ENQUEUE_BEFORE_FIRST_DECISION)
-    @example(ops=ENQUEUE_WHILE_BOOTSTRAP_PENDING)
-    @example(ops=ENQUEUE_WHILE_PUBLISH_DUE)
-    @example(ops=ENQUEUE_WHILE_GENERAL_PUBLISH_DUE)
-    def test_sliding_window_interleavings(self, ops):
-        runner = ScriptRunner(histogram_mode=HISTOGRAMS_SLIDING_WINDOW,
-                              histogram_window=3.0, min_samples=2)
         runner.assert_identical(runner.run(ops))
 
     def test_retention_lull_stays_identical(self):
@@ -424,13 +396,11 @@ class TestRandomizedSoak:
         runner.assert_identical(runner.run(ops))
 
 
-#: Every dual-buffer combination of the cold-start and retention knobs,
-#: plus sliding-window mode.
+#: Every combination of the cold-start and retention knobs.
 SOAK_CONFIGS = [
     dict(min_samples=m, retain_min_samples=r, bootstrap_samples=b)
     for m, r, b in itertools.product((0, 1, 4), (0, 1, 3), (0, 2, 3, 8))
-] + [dict(histogram_mode=HISTOGRAMS_SLIDING_WINDOW, histogram_window=3.0,
-          min_samples=2)]
+]
 
 
 def soak_script(seed, length=600):

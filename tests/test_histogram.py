@@ -81,19 +81,6 @@ class TestLatencyHistogram:
         values = [hist.percentile(p) for p in (10, 25, 50, 75, 90, 99)]
         assert values == sorted(values)
 
-    def test_merge_combines_counts_and_sum(self):
-        a = LatencyHistogram.from_values([0.010] * 10)
-        b = LatencyHistogram.from_values([0.030] * 10)
-        a.merge(b)
-        assert a.count == 20
-        assert a.mean() == pytest.approx(0.020)
-
-    def test_merge_rejects_incompatible_layouts(self):
-        a = LatencyHistogram(BucketLayout())
-        b = LatencyHistogram(BucketLayout(growth=1.2))
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
-
     def test_reset_clears_everything(self):
         hist = LatencyHistogram.from_values([0.01, 0.02])
         hist.reset()
@@ -183,18 +170,3 @@ class TestHistogramSnapshot:
 
     def test_percentiles_batch_on_empty(self):
         assert empty_snapshot().percentiles([50, 90]) == [0.0, 0.0]
-
-    def test_merged_with(self):
-        a = LatencyHistogram.from_values([0.010] * 5).snapshot()
-        b = LatencyHistogram.from_values([0.020] * 5).snapshot()
-        merged = a.merged_with(b)
-        assert merged.count == 10
-        assert merged.mean() == pytest.approx(0.015)
-        # Operands untouched.
-        assert a.count == 5 and b.count == 5
-
-    def test_merged_with_incompatible_layouts(self):
-        a = LatencyHistogram(BucketLayout()).snapshot()
-        b = LatencyHistogram(BucketLayout(growth=1.5)).snapshot()
-        with pytest.raises(ConfigurationError):
-            a.merged_with(b)

@@ -24,8 +24,7 @@ from repro.bench import make_bouncer, simulation_mix
 from repro.core import (BouncerConfig, BouncerPolicy, HostContext,
                         LatencySLO, ManualClock, Query, QueueView,
                         SLORegistry)
-from repro.core.bouncer import HISTOGRAMS_SLIDING_WINDOW
-from repro.core.dual_buffer import DualBufferHistogram, SlidingWindowHistogram
+from repro.core.dual_buffer import DualBufferHistogram
 from repro.core.histogram import (DEFAULT_LAYOUT, BucketLayout,
                                   LatencyHistogram)
 from repro.sim import run_simulation
@@ -111,8 +110,7 @@ class TestIndexForOracle:
 class TestRefusedSamples:
     def recorders(self):
         clock = ManualClock()
-        return [LatencyHistogram(), DualBufferHistogram(clock),
-                SlidingWindowHistogram(clock)]
+        return [LatencyHistogram(), DualBufferHistogram(clock)]
 
     def test_negative_is_refused_by_every_recorder(self):
         for recorder in self.recorders():
@@ -188,12 +186,9 @@ def warm_policy(**config):
 
 
 class TestWorkCounts:
-    @pytest.mark.parametrize("mode", ["dual-buffer",
-                                      HISTOGRAMS_SLIDING_WINDOW])
-    def test_one_bucket_search_per_completion(self, mode):
+    def test_one_bucket_search_per_completion(self):
         layout = CountingLayout()
-        policy, clock, _ = make_policy(layout=layout,
-                                       histogram_mode=mode)
+        policy, clock, _ = make_policy(layout=layout)
         for done in range(1, 6):
             policy.on_completed(Query("fast"), 0.0, 0.004)
             assert layout.searches == done
@@ -324,11 +319,9 @@ class TestNoLocksInCore:
         assert from_core(created) == []
         assert from_core(acquired) == []
 
-    @pytest.mark.parametrize("mode", ["dual-buffer",
-                                      HISTOGRAMS_SLIDING_WINDOW])
-    def test_host_loop_takes_no_core_lock(self, lock_ledger, mode):
+    def test_host_loop_takes_no_core_lock(self, lock_ledger):
         created, acquired = lock_ledger
-        policy, clock, queue = make_policy(histogram_mode=mode)
+        policy, clock, queue = make_policy()
         fifo = []
         for index in range(2000):
             clock.advance(0.001)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro._stats import percentile
 from repro.core import (LatencyHistogram, LatencySLO, ManualClock,
                         SlidingWindowCounts, SlidingWindowStats)
-from repro.core.histogram import BucketLayout
+from repro.core.dual_buffer import DualBufferHistogram
+from repro.core.histogram import BucketLayout, HistogramSnapshot
 from repro.liquid.partition import HashPartitioner
 from repro.liquid.vlist import VList
 from repro.sim.workload import QueryTypeSpec
@@ -48,23 +49,52 @@ class TestHistogramProperties:
         results = snap.percentiles(ps)
         assert results == sorted(results)
 
-    @given(st.lists(latencies, min_size=0, max_size=100),
-           st.lists(latencies, min_size=0, max_size=100))
-    def test_merge_equals_union(self, left, right):
-        merged = LatencyHistogram.from_values(left)
-        merged.merge(LatencyHistogram.from_values(right))
-        union = LatencyHistogram.from_values(left + right)
-        assert merged.count == union.count
-        assert math.isclose(merged.mean(), union.mean(), abs_tol=1e-12)
-        if merged.count:
-            assert math.isclose(merged.percentile(90),
-                                union.percentile(90), rel_tol=1e-9)
-
     @given(st.floats(min_value=1e-9, max_value=1e4))
     def test_every_value_has_a_bucket(self, value):
         layout = BucketLayout()
         idx = layout.index_for(value)
         assert 0 <= idx < layout.num_buckets
+
+    @given(st.lists(latencies, max_size=200))
+    def test_dict_round_trip_is_exact(self, values):
+        # What import_state installs is what export_state saw.
+        snap = LatencyHistogram.from_values(values).snapshot()
+        restored = HistogramSnapshot.from_dict(snap.to_dict())
+        assert restored.count == snap.count
+        assert restored.mean() == snap.mean()
+        ps = [1, 50, 90, 99, 100]
+        assert restored.percentiles(ps) == snap.percentiles(ps)
+
+
+class TestDualBufferProperties:
+    @given(ops=st.lists(st.one_of(
+               st.tuples(st.just("record"), latencies),
+               st.tuples(st.just("advance"),
+                         st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]))),
+               max_size=80),
+           min_samples=st.sampled_from([0, 1, 3]),
+           bootstrap=st.sampled_from([0, 2, 5]))
+    def test_view_changes_only_at_a_publish(self, ops, min_samples,
+                                            bootstrap):
+        # The read side moves only at a due boundary or an armed
+        # bootstrap, and every move carries a fresh, larger epoch.
+        clock = ManualClock()
+        buf = DualBufferHistogram(clock, interval=1.0,
+                                  min_samples=min_samples,
+                                  bootstrap_samples=bootstrap)
+        view, due = buf.snapshot(), buf.next_publish_due()
+        for op, arg in ops:
+            if op == "record":
+                buf.record(arg)
+            else:
+                clock.advance(arg)
+            pending = buf.bootstrap_pending
+            current = buf.snapshot()
+            if current is not view:
+                assert clock.now() >= due or pending
+                assert current.epoch > view.epoch
+            view, due = current, buf.next_publish_due()
+            assert due > clock.now()
 
 
 class TestExactPercentileProperties:

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.core import (HISTOGRAMS_SLIDING_WINDOW, BouncerConfig,
-                        BouncerPolicy, DualBufferHistogram,
+from repro.core import (BouncerConfig, BouncerPolicy, DualBufferHistogram,
                         HistogramSnapshot, HostContext, LatencyHistogram,
                         LatencySLO, ManualClock, QueueView, SLORegistry)
 from repro.core.histogram import BucketLayout
@@ -146,13 +145,132 @@ class TestBouncerStateTransfer:
         state = policy.export_state()
         assert "never-seen" not in state["types"]
 
-    def test_import_requires_dual_buffer_mode(self):
-        policy, _ = make_bouncer(
-            histogram_mode=HISTOGRAMS_SLIDING_WINDOW,
-            histogram_window=5.0)
+    def test_malformed_import_installs_nothing(self):
+        # The second type's payload is malformed: the import must refuse
+        # the whole payload, not keep the general histogram and the first
+        # type, and decisions must still come from the views it kept.
+        old, old_clock = make_bouncer()
+        for qtype in ("fast", "slow"):
+            for _ in range(10):
+                old.on_completed(Query(qtype=qtype), 0.0, 0.030)
+        old_clock.advance(1.0)
+        state = old.export_state()
+        state["types"]["slow"]["count"] += 1
+
+        fresh, _ = make_bouncer(min_samples=10)
+        assert fresh.decide(Query(qtype="fast")).accepted  # blank -> lenient
         with pytest.raises(ConfigurationError):
-            policy.import_state({"general": None, "types": {}})
+            fresh.import_state(state)
+        assert fresh.general_snapshot().count == 0
+        assert fresh.processing_snapshot("fast").count == 0
+        assert fresh.decide(Query(qtype="fast")).accepted
 
     def test_import_tolerates_missing_general(self):
         policy, _ = make_bouncer()
         policy.import_state({"types": {}})  # must not raise
+
+
+def _published_state(clock_policy):
+    """Export from a policy that published 10 x 30 ms for both types."""
+    old, old_clock = clock_policy
+    for qtype in ("fast", "slow"):
+        for _ in range(10):
+            old.on_completed(Query(qtype=qtype), 0.0, 0.030)
+    old_clock.advance(1.0)
+    return old.export_state()
+
+
+def _break_count(payload):
+    payload["count"] += 1
+
+
+def _break_bucket(payload):
+    payload["buckets"] = {"999999": payload["count"]}
+
+
+def _break_layout(payload):
+    payload["layout"] = BucketLayout(growth=1.5).to_dict()
+
+
+class TestImportIsAllOrNothing:
+    """Whatever part of the payload is malformed, and however it is, the
+    import refuses the whole payload before installing anything."""
+
+    @pytest.mark.parametrize("where, breaks", [
+        ("general", _break_count),
+        ("slow", _break_bucket),
+        ("slow", _break_layout),
+        ("general", _break_layout),
+    ])
+    def test_malformed_payload_changes_nothing(self, where, breaks):
+        state = _published_state(make_bouncer())
+        breaks(state["general"] if where == "general"
+               else state["types"][where])
+
+        fresh, clock = make_bouncer()
+        for _ in range(4):
+            fresh.on_completed(Query(qtype="fast"), 0.0, 0.001)
+        clock.advance(1.0)
+        before = (fresh.general_snapshot(), fresh.processing_snapshot("fast"),
+                  fresh.processing_snapshot("slow"))
+        with pytest.raises(ConfigurationError):
+            fresh.import_state(state)
+        after = (fresh.general_snapshot(), fresh.processing_snapshot("fast"),
+                 fresh.processing_snapshot("slow"))
+        assert all(a is b for a, b in zip(after, before))
+
+    def test_live_data_replaces_the_import_after_an_interval(self):
+        state = _published_state(make_bouncer())
+        policy, clock = make_bouncer(min_samples=10)
+        clock.advance(0.4)
+        policy.import_state(state)
+        assert not policy.decide(Query(qtype="slow")).accepted
+        for _ in range(20):
+            policy.on_completed(Query(qtype="slow"), 0.0, 0.001)
+        clock.advance(0.999)  # the import restarted the interval at 0.4
+        assert not policy.decide(Query(qtype="slow")).accepted
+        clock.advance(0.001)
+        assert policy.decide(Query(qtype="slow")).accepted
+        assert policy.processing_snapshot("slow").count == 20
+
+    def test_import_equals_preload_of_the_parsed_payload(self):
+        state = _published_state(make_bouncer())
+        imported, _ = make_bouncer()
+        imported.import_state(state)
+        preloaded, _ = make_bouncer()
+        preloaded.preload_snapshots(
+            {qtype: HistogramSnapshot.from_dict(payload)
+             for qtype, payload in state["types"].items()},
+            HistogramSnapshot.from_dict(state["general"]))
+        assert imported.export_state() == preloaded.export_state()
+        for qtype in ("fast", "slow", "other"):
+            a = imported.estimate(qtype)
+            b = preloaded.estimate(qtype)
+            assert (a.response, a.cold_start) == (b.response, b.cold_start)
+
+    def test_empty_payloads_keep_the_live_views(self):
+        policy, clock = make_bouncer()
+        for _ in range(4):
+            policy.on_completed(Query(qtype="fast"), 0.0, 0.001)
+        clock.advance(1.0)
+        live = policy.processing_snapshot("fast")
+        empty = LatencyHistogram().snapshot().to_dict()
+        policy.import_state({"general": empty, "types": {"fast": empty}})
+        assert policy.processing_snapshot("fast") is live
+        assert policy.general_snapshot().count == 4
+
+    def test_layouts_are_checked_against_the_configured_one(self):
+        coarse = BucketLayout(growth=1.5)
+        source, clock = make_bouncer(layout=coarse)
+        for _ in range(10):
+            source.on_completed(Query(qtype="slow"), 0.0, 0.030)
+        clock.advance(1.0)
+        state = source.export_state()
+
+        default_layout, _ = make_bouncer()
+        with pytest.raises(ConfigurationError):
+            default_layout.import_state(state)
+        assert default_layout.general_snapshot().is_empty
+        same_layout, _ = make_bouncer(layout=coarse)
+        same_layout.import_state(state)
+        assert same_layout.processing_snapshot("slow").count == 10
